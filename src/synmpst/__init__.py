@@ -15,8 +15,8 @@ from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
 from .lts import (CapExceededError, GlobalLts, build_lts, enabled, active,
                   reach_strong_without, reach_without, step, step_with,
                   step_without, strong_step_without)
-from .mlts import (Mlts, WbViolation, as_mlts, check_well_behaved,
-                   receiver_disjoint, replay_violation)
+from .mlts import (Mlts, WbViolation, check_well_behaved, receiver_disjoint,
+                   replay_violation)
 from .typecheck import (Checker, Derivation, TcError, render_derivation,
                         type_expr, type_process, type_session, try_skip)
 from .runtime import (CommAction, EvalError, ExploreReport, TauAction, Trace,

@@ -12,13 +12,12 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .lts import (DEFAULT_STATE_CAP, CapExceededError, build_lts, lts_to_dot,
                   lts_to_json)
-from .mlts import Mlts, as_mlts, check_well_behaved, violations_to_json
+from .mlts import Mlts, check_well_behaved, violations_to_json
 from .parser import ProtocolFile, parse_file, parse_mlts
 from .runtime import explore, render_message_sequence, run, trace_to_json_lines
 from .terms import Session, roles_of
@@ -38,15 +37,31 @@ class CliFailure(Exception):
         self.code = code
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _state_cap(args) -> int:
     if args.state_cap is not None:
         return args.state_cap
     env = os.environ.get("SYNMPST_STATE_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise CliFailure(f"SYNMPST_STATE_CAP is not an integer: {env!r}")
+        if cap < 1:
+            raise CliFailure(f"SYNMPST_STATE_CAP must be at least 1, got {cap}")
+        return cap
     return DEFAULT_STATE_CAP
 
 
@@ -55,10 +70,12 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliFailure(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliFailure(f"cannot read {path}: not UTF-8 text (byte {e.start})")
 
 
-def _parse_protocol(path: str, *, allow_unresolved: bool = False) -> ProtocolFile:
-    result = parse_file(_read(path), path, allow_unresolved_globals=allow_unresolved)
+def _parse_protocol(path: str, text: str, *, allow_unresolved: bool = False) -> ProtocolFile:
+    result = parse_file(text, path, allow_unresolved_globals=allow_unresolved)
     if isinstance(result, list):
         raise CliFailure("\n".join(str(d) for d in result))
     if result.diagnostics:
@@ -73,83 +90,66 @@ def _parse_mlts_file(path: str) -> Mlts:
     return result
 
 
-@dataclass
-class _Classifier:
-    mlts: Mlts
-    origin: str
-    verified: bool   # global types are well-behaved by construction
+def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unverified: bool
+          ) -> tuple[ProtocolFile, Callable[[str], tuple[Mlts, frozenset[str]]]]:
+    """Parse a protocol file; return it with the function that gives a
+    session's classifier and the roles the session must implement.
 
-
-def _classifier_for(pf: ProtocolFile, global_name: str, cap: int,
-                    external: Optional[Mlts], external_origin: str,
-                    allow_unverified: bool) -> _Classifier:
-    if external is not None:
-        violations = [] if allow_unverified else check_well_behaved(external)
-        if violations:
-            raise CliFailure(
-                f"{external_origin} is not well-behaved "
-                f"({len(violations)} violation(s)); pass --allow-unverified to check anyway",
-                EXIT_SEMANTIC)
-        return _Classifier(external, external_origin, verified=True)
-    if global_name not in pf.globals:
-        raise CliFailure(f"{pf.path}: unknown global {global_name} "
-                         "(declare it or supply --mlts)")
-    try:
-        lts = build_lts(pf.globals[global_name], cap)
-    except CapExceededError as e:
-        raise CliFailure(f"{pf.path}: global {global_name}: {e}")
-    return _Classifier(as_mlts(lts), f"global {global_name}", verified=True)
-
-
-def _file_external(path: str, text: str) -> Optional[str]:
-    match = _CLASSIFIER_RE.search(text)
-    if match is None:
-        return None
-    return str((Path(path).parent / match.group(1)))
-
-
-def _check_file(path: str, cap: int, mlts_path: Optional[str],
-                allow_unverified: bool) -> tuple[list[dict], bool]:
-    text = _read(path)
-    directive = _file_external(path, text)
-    external_path = mlts_path or directive
+    An --mlts file overrides every declared global; a `// classifier:`
+    directive serves only the sessions whose global is not declared. An
+    external MLTS must be well-behaved unless allow_unverified is set.
+    """
+    directive = _CLASSIFIER_RE.search(text)
+    external_path = mlts_path or (directive and str(Path(path).parent / directive.group(1)))
     external = _parse_mlts_file(external_path) if external_path else None
-    pf_result = parse_file(text, path, allow_unresolved_globals=external is not None)
-    if isinstance(pf_result, list):
-        raise CliFailure("\n".join(str(d) for d in pf_result))
-    if pf_result.diagnostics:
-        raise CliFailure("\n".join(str(d) for d in pf_result.diagnostics))
+    pf = _parse_protocol(path, text, allow_unresolved=external is not None)
 
+    def classifier(session: str) -> tuple[Mlts, frozenset[str]]:
+        name = pf.sessions[session].global_name
+        if external is not None and (mlts_path is not None or name not in pf.globals):
+            violations = [] if allow_unverified else check_well_behaved(external)
+            if violations:
+                raise CliFailure(
+                    f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
+                    "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
+            return external, frozenset()
+        try:
+            lts = build_lts(pf.globals[name], cap)
+        except CapExceededError as e:
+            raise CliFailure(f"{pf.path}: global {name}: {e}")
+        return lts.to_mlts(), roles_of(pf.globals[name])
+
+    return pf, classifier
+
+
+def _check_file(path: str, text: str, cap: int, mlts_path: Optional[str],
+                allow_unverified: bool) -> tuple[list[dict], list[tuple[Session, Mlts]]]:
+    """Type every session of the file; return the reports and each session
+    with its classifier."""
+    pf, classifier = _load(path, text, cap, mlts_path, allow_unverified)
     reports: list[dict] = []
-    all_ok = True
-    for name, decl in pf_result.sessions.items():
-        use_external = external is not None and (mlts_path is not None
-                                                 or decl.global_name not in pf_result.globals)
-        classifier = _classifier_for(
-            pf_result, decl.global_name, cap,
-            external if use_external else None, external_path or "", allow_unverified)
-        required = frozenset()
-        if decl.global_name in pf_result.globals and not use_external:
-            required = roles_of(pf_result.globals[decl.global_name])
-        outcome = type_session(classifier.mlts, pf_result.session(name), required)
+    checked: list[tuple[Session, Mlts]] = []
+    for name in pf.sessions:
+        m, required = classifier(name)
+        sess = pf.session(name)
+        checked.append((sess, m))
+        outcome = type_session(m, sess, required)
         if isinstance(outcome, dict):
             reports.append({"session": name, "verdict": "well-typed",
                             "roles": sorted(outcome), "errors": []})
         else:
-            all_ok = False
             reports.append({"session": name, "verdict": "ill-typed", "roles": [],
                             "errors": [e.to_json_obj() for e in outcome]})
-    return reports, all_ok
+    return reports, checked
 
 
 def cmd_check(args) -> int:
     cap = _state_cap(args)
     out: list[dict] = []
-    ok = True
     for path in args.files:
-        reports, file_ok = _check_file(path, cap, args.mlts, args.allow_unverified)
-        ok = ok and file_ok
+        reports, _ = _check_file(path, _read(path), cap, args.mlts, args.allow_unverified)
         out.append({"path": path, "sessions": reports})
+    ok = all(r["verdict"] == "well-typed" for entry in out for r in entry["sessions"])
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:
@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
 
 def cmd_lts(args) -> int:
     cap = _state_cap(args)
-    pf = _parse_protocol(args.file)
+    pf = _parse_protocol(args.file, _read(args.file))
     names = [args.global_name] if args.global_name else list(pf.globals)
     if not names:
         raise CliFailure(f"{args.file}: no global types declared")
@@ -179,15 +179,14 @@ def cmd_lts(args) -> int:
         if name not in pf.globals:
             raise CliFailure(f"{args.file}: unknown global {name}")
         try:
-            lts = build_lts(pf.globals[name], cap)
+            m = build_lts(pf.globals[name], cap).to_mlts()
         except CapExceededError as e:
             raise CliFailure(f"global {name}: {e}")
         if args.format == "dot":
-            chunks.append(lts_to_dot(lts))
+            chunks.append(lts_to_dot(m))
         elif args.format == "json":
-            chunks.append(lts_to_json(lts))
+            chunks.append(lts_to_json(m))
         else:
-            m = as_mlts(lts)
             lines = [f"global {name}: {len(m.labels)} states, {len(m.transitions)} transitions"]
             for s in m.states:
                 marker = "*" if s == m.initial else " "
@@ -206,15 +205,15 @@ def cmd_wb(args) -> int:
         m = _parse_mlts_file(args.file)
         results.append((args.file, check_well_behaved(m)))
     else:
-        pf = _parse_protocol(args.file)
+        pf = _parse_protocol(args.file, _read(args.file))
         if not pf.globals:
             raise CliFailure(f"{args.file}: no global types declared")
         for name, term in pf.globals.items():
             try:
-                lts = build_lts(term, cap)
+                m = build_lts(term, cap).to_mlts()
             except CapExceededError as e:
                 raise CliFailure(f"global {name}: {e}")
-            results.append((f"{args.file}:{name}", check_well_behaved(as_mlts(lts))))
+            results.append((f"{args.file}:{name}", check_well_behaved(m)))
     any_violation = any(v for _, v in results)
     if args.format == "json":
         doc = [{"subject": subject,
@@ -240,7 +239,7 @@ def _pick_session(pf: ProtocolFile, wanted: Optional[str]) -> tuple[str, Session
 
 
 def cmd_simulate(args) -> int:
-    pf = _parse_protocol(args.file, allow_unresolved=True)
+    pf = _parse_protocol(args.file, _read(args.file), allow_unresolved=True)
     name, sess = _pick_session(pf, args.session)
     trace = run(sess, args.seed, args.max_steps)
     if args.format == "json":
@@ -253,21 +252,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_explore(args) -> int:
     cap = _state_cap(args)
-    text = _read(args.file)
-    external_path = args.mlts or _file_external(args.file, text)
-    external = _parse_mlts_file(external_path) if external_path else None
-    pf_result = parse_file(text, args.file, allow_unresolved_globals=external is not None)
-    if isinstance(pf_result, list) or pf_result.diagnostics:
-        diags = pf_result if isinstance(pf_result, list) else list(pf_result.diagnostics)
-        raise CliFailure("\n".join(str(d) for d in diags))
-    name, sess = _pick_session(pf_result, args.session)
-    decl = pf_result.sessions[name]
-    use_external = external is not None and (args.mlts is not None
-                                             or decl.global_name not in pf_result.globals)
-    classifier = _classifier_for(pf_result, decl.global_name, cap,
-                                 external if use_external else None,
-                                 external_path or "", args.allow_unverified)
-    report = explore(classifier.mlts, sess, args.max_depth)
+    pf, classifier = _load(args.file, _read(args.file), cap, args.mlts,
+                           args.allow_unverified)
+    name, sess = _pick_session(pf, args.session)
+    m, _ = classifier(name)
+    report = explore(m, sess, args.max_depth)
     doc = {
         "session": name,
         "configs_visited": report.configs_visited,
@@ -314,12 +303,13 @@ def cmd_bench(args) -> int:
         expect_match = _EXPECT_RE.search(text)
         expectation = expect_match.group(1) if expect_match else "well-typed"
         try:
-            reports, all_ok = _check_file(str(path), cap, None, False)
+            reports, checked = _check_file(str(path), text, cap, None, False)
             verdicts = {r["verdict"] for r in reports} or {"well-typed"}
             passed = verdicts == {expectation}
             detail = f"{len(reports)} session(s) {'/'.join(sorted(verdicts))}, expected {expectation}"
             if passed and expectation == "well-typed":
-                sound = _explore_file(str(path), text, cap, args.max_depth)
+                sound = all(explore(m, sess, args.max_depth).sound_at_depth
+                            for sess, m in checked)
                 passed = sound
                 detail += ", explore " + ("sound" if sound else "UNSOUND")
         except CliFailure as e:
@@ -335,22 +325,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_pass else EXIT_SEMANTIC
 
 
-def _explore_file(path: str, text: str, cap: int, max_depth: int) -> bool:
-    external_path = _file_external(path, text)
-    external = _parse_mlts_file(external_path) if external_path else None
-    pf = parse_file(text, path, allow_unresolved_globals=external is not None)
-    assert isinstance(pf, ProtocolFile)
-    for name, decl in pf.sessions.items():
-        use_external = external is not None and decl.global_name not in pf.globals
-        classifier = _classifier_for(pf, decl.global_name, cap,
-                                     external if use_external else None,
-                                     external_path or "", False)
-        report = explore(classifier.mlts, pf.session(name), max_depth)
-        if not report.sound_at_depth:
-            return False
-    return True
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synmpst",
@@ -359,7 +333,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_choices=("text", "json")):
-        p.add_argument("--state-cap", type=int, default=None,
+        p.add_argument("--state-cap", type=_int_at_least(1), default=None,
                        help=f"LTS state cap (default {DEFAULT_STATE_CAP}, "
                             "env SYNMPST_STATE_CAP)")
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
@@ -387,7 +361,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--session", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=1000)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -396,13 +370,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", default=None)
     p.add_argument("--mlts", help="classifier MLTS JSON file")
     p.add_argument("--allow-unverified", action="store_true")
-    p.add_argument("--max-depth", type=int, default=200)
+    p.add_argument("--max-depth", type=_int_at_least(1), default=200)
     common(p)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("bench", help="run check+wb+explore over a corpus directory")
     p.add_argument("dir")
-    p.add_argument("--max-depth", type=int, default=200)
+    p.add_argument("--max-depth", type=_int_at_least(1), default=200)
     common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .mlts import Mlts
 from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
@@ -137,33 +137,14 @@ def _ordered_steps(steps) -> list[tuple[GlobalAction, GlobalType]]:
 
 @dataclass(frozen=True)
 class GlobalLts:
-    """Reachable state space of a global type; state 0 is the initial term."""
+    """Reachable terms of a global type and the transitions between them;
+    state 0 is the initial term."""
     terms: tuple[GlobalType, ...]
     transitions: frozenset[tuple[int, GlobalAction, int]]
-    cap: int
-
-    @property
-    def initial(self) -> int:
-        return 0
-
-    @property
-    def states(self) -> range:
-        return range(len(self.terms))
-
-    def transitions_from(self, s: int) -> tuple[tuple[GlobalAction, int], ...]:
-        return self.to_mlts().transitions_from(s)
-
-    def state_of(self, term: GlobalType) -> Optional[int]:
-        try:
-            return self.terms.index(term)
-        except ValueError:
-            return None
 
     def to_mlts(self) -> Mlts:
-        if "_mlts" not in self.__dict__:
-            labels = tuple(pretty_global(t) for t in self.terms)
-            object.__setattr__(self, "_mlts", Mlts(0, labels, self.transitions))
-        return self.__dict__["_mlts"]
+        """The classifier, each state labelled with its pretty-printed term."""
+        return Mlts(0, tuple(pretty_global(t) for t in self.terms), self.transitions)
 
 
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
@@ -204,68 +185,68 @@ def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
             cap, len(terms),
             f"state terms grew beyond comparable depth after {len(terms)} states; "
             "the type's reordering closure is likely unbounded") from None
-    return GlobalLts(tuple(terms), frozenset(transitions), cap)
+    return GlobalLts(tuple(terms), frozenset(transitions))
 
 
 # ---------------------------------------------------------------------------
-# Derived transition relations over any classifier exposing transitions_from
+# Derived transition relations over an Mlts
 
 
-def step_with(lts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
+def step_with(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
     """Transitions of s in which every given role participates."""
     required = frozenset(roles)
-    return frozenset((a, t) for a, t in lts.transitions_from(s) if required <= a.roles)
+    return frozenset((a, t) for a, t in m.transitions_from(s) if required <= a.roles)
 
 
-def step_without(lts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
+def step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
     """Transitions of s in which none of the given roles participate."""
     banned = frozenset(roles)
-    return frozenset((a, t) for a, t in lts.transitions_from(s) if not banned & a.roles)
+    return frozenset((a, t) for a, t in m.transitions_from(s) if not banned & a.roles)
 
 
-def strong_step_without(lts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
+def strong_step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
     """step_without, but only when no transition of s involves any given role."""
-    if step_with(lts, s, roles):
+    if step_with(m, s, roles):
         return frozenset()
-    return step_without(lts, s, roles)
+    return step_without(m, s, roles)
 
 
-def _closure(lts, s: int, single_step) -> tuple[int, ...]:
+def _closure(m: Mlts, s: int, single_step) -> tuple[int, ...]:
     seen = {s}
     frontier = [s]
     while frontier:
         state = frontier.pop()
-        for _, t in single_step(lts, state):
+        for _, t in single_step(m, state):
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
     return tuple(sorted(seen))
 
 
-def reach_without(lts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
+def reach_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
     """States reachable through zero or more transitions without the roles."""
     banned = frozenset(roles)
-    return _closure(lts, s, lambda l, st: step_without(l, st, banned))
+    return _closure(m, s, lambda m, st: step_without(m, st, banned))
 
 
-def reach_strong_without(lts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
+def reach_strong_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
     """Reflexive-transitive closure of the strong role-avoiding step."""
     banned = frozenset(roles)
-    return _closure(lts, s, lambda l, st: strong_step_without(l, st, banned))
+    return _closure(m, s, lambda m, st: strong_step_without(m, st, banned))
 
 
-def enabled(lts, s: int, role: str) -> bool:
+def enabled(m: Mlts, s: int, role: str) -> bool:
     """role participates in some transition of s."""
-    return bool(step_with(lts, s, (role,)))
+    return bool(step_with(m, s, (role,)))
 
 
-def active(lts, s: int, role: str) -> bool:
+def active(m: Mlts, s: int, role: str) -> bool:
     """Some state reachable from s (via any transitions) enables role."""
     seen = {s}
     frontier = [s]
     while frontier:
         state = frontier.pop()
-        for a, t in lts.transitions_from(state):
+        for a, t in m.transitions_from(state):
             if role in a.roles:
                 return True
             if t not in seen:
@@ -282,9 +263,8 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def lts_to_dot(lts) -> str:
-    """Graphviz rendering; states carry their pretty-printed terms."""
-    m = lts if isinstance(lts, Mlts) else lts.to_mlts()
+def lts_to_dot(m: Mlts) -> str:
+    """Graphviz rendering; states carry their labels."""
     lines = ["digraph mlts {", "  rankdir=LR;", "  node [shape=box];"]
     for s in m.states:
         shape = ', style="bold"' if s == m.initial else ""
@@ -295,8 +275,8 @@ def lts_to_dot(lts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lts_to_json(lts) -> str:
-    """JSON in the MLTS input schema, with pretty terms in an extra field."""
+def lts_to_json(lts: Union[Mlts, GlobalLts]) -> str:
+    """JSON in the MLTS input schema, with the state labels in an extra field."""
     m = lts if isinstance(lts, Mlts) else lts.to_mlts()
     doc = {
         "states": [f"s{s}" for s in m.states],

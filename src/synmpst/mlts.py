@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .terms import GlobalAction
 
@@ -59,6 +59,18 @@ class Mlts:
         return self._outgoing[s]
 
     @cached_property
+    def _targets(self) -> dict[tuple[int, GlobalAction], tuple[int, ...]]:
+        table: dict[tuple[int, GlobalAction], tuple[int, ...]] = {}
+        for src, row in enumerate(self._outgoing):
+            for action, dst in row:
+                table[src, action] = table.get((src, action), ()) + (dst,)
+        return table
+
+    def targets(self, s: int, action: GlobalAction) -> tuple[int, ...]:
+        """States that action leads to from s, ascending; () if s does not offer it."""
+        return self._targets.get((s, action), ())
+
+    @cached_property
     def actions(self) -> frozenset[GlobalAction]:
         return frozenset(a for _, a, _ in self.transitions)
 
@@ -68,13 +80,6 @@ class Mlts:
         for a in self.actions:
             out |= {a.sender, a.receiver}
         return frozenset(out)
-
-
-def as_mlts(lts) -> Mlts:
-    """Present any classifier (an Mlts, or a built global-type LTS) as an Mlts."""
-    if isinstance(lts, Mlts):
-        return lts
-    return lts.to_mlts()
 
 
 @dataclass(frozen=True)
@@ -124,31 +129,22 @@ def check_well_behaved(m: Mlts) -> list[WbViolation]:
                         f"state {s} offers {a1} and {a2}"))
 
         # 2. Determinism: one action, one target.
-        targets: dict[GlobalAction, set[int]] = {}
-        for a, dst in outgoing:
-            targets.setdefault(a, set()).add(dst)
-        for a, dsts in sorted(targets.items(), key=lambda kv: kv[0].sort_key()):
+        for a in dict.fromkeys(a for a, _ in outgoing):
+            dsts = m.targets(s, a)
             if len(dsts) > 1:
-                d1, d2 = sorted(dsts)[:2]
+                d1, d2 = dsts[:2]
                 emit(WbViolation(
                     DETERMINISM, (s, d1, d2), (a,),
                     f"state {s} reaches both {d1} and {d2} via {a}"))
 
         # 3. Conditional commutativity: an already-available communication
         # stays reorderable with an unrelated one taken first.
+        pairs_at_s = {(b.sender, b.receiver) for b, _ in outgoing}
         for a1, s1 in outgoing:
             for a2, s_prime in m.transitions_from(s1):
-                if a2.roles & a1.roles:
+                if a2.roles & a1.roles or (a2.sender, a2.receiver) not in pairs_at_s:
                     continue
-                pair_at_s = any(b.sender == a2.sender and b.receiver == a2.receiver
-                                for b, _ in outgoing)
-                if not pair_at_s:
-                    continue
-                commutes = any(
-                    b == a2 and any(c == a1 and t2 == s_prime
-                                    for c, t2 in m.transitions_from(mid))
-                    for b, mid in outgoing)
-                if not commutes:
+                if not any(s_prime in m.targets(mid, a1) for mid in m.targets(s, a2)):
                     emit(WbViolation(
                         CONDITIONAL_COMMUTATIVITY, (s, s1, s_prime), (a1, a2),
                         f"{a1} then {a2} from state {s} cannot be reordered"))
@@ -158,11 +154,7 @@ def check_well_behaved(m: Mlts) -> list[WbViolation]:
             for a2, s2 in outgoing[i + 1:]:
                 if a1 == a2 or not receiver_disjoint(a1, a2):
                     continue
-                closes = any(
-                    b == a2 and any(c == a1 and t2 == t1
-                                    for c, t2 in m.transitions_from(s2))
-                    for b, t1 in m.transitions_from(s1))
-                if not closes:
+                if not any(t1 in m.targets(s2, a1) for t1 in m.targets(s1, a2)):
                     emit(WbViolation(
                         DIAMOND, (s, s1, s2), (a1, a2),
                         f"{a1} and {a2} from state {s} do not close a diamond"))
@@ -172,35 +164,30 @@ def check_well_behaved(m: Mlts) -> list[WbViolation]:
 
 def replay_violation(m: Mlts, v: WbViolation) -> bool:
     """True iff the witness genuinely falsifies its named condition on m."""
-    def has(src: int, action: GlobalAction, dst: Optional[int] = None) -> bool:
-        return any(a == action and (dst is None or t == dst)
-                   for a, t in m.transitions_from(src))
-
     if v.condition == SENDER_DETERMINACY:
         (s,), (a1, a2) = v.states, v.actions
         same_pair = a1.sender == a2.sender and a1.receiver == a2.receiver
-        return (has(s, a1) and has(s, a2)
+        return (bool(m.targets(s, a1)) and bool(m.targets(s, a2))
                 and not (receiver_disjoint(a1, a2) or same_pair))
     if v.condition == DETERMINISM:
         (s, d1, d2), (a,) = v.states, v.actions
-        return has(s, a, d1) and has(s, a, d2) and d1 != d2
+        return d1 in m.targets(s, a) and d2 in m.targets(s, a) and d1 != d2
     if v.condition == CONDITIONAL_COMMUTATIVITY:
         (s, s1, s_prime), (a1, a2) = v.states, v.actions
-        if not (has(s, a1, s1) and has(s1, a2, s_prime)):
+        if not (s1 in m.targets(s, a1) and s_prime in m.targets(s1, a2)):
             return False
         if a1.roles & a2.roles:
             return False
         if not any(b.sender == a2.sender and b.receiver == a2.receiver
                    for b, _ in m.transitions_from(s)):
             return False
-        return not any(b == a2 and has(mid, a1, s_prime)
-                       for b, mid in m.transitions_from(s))
+        return not any(s_prime in m.targets(mid, a1) for mid in m.targets(s, a2))
     if v.condition == DIAMOND:
         (s, s1, s2), (a1, a2) = v.states, v.actions
-        if not (has(s, a1, s1) and has(s, a2, s2) and receiver_disjoint(a1, a2)):
+        if not (s1 in m.targets(s, a1) and s2 in m.targets(s, a2)
+                and receiver_disjoint(a1, a2)):
             return False
-        return not any(b == a2 and has(s2, a1, t1)
-                       for b, t1 in m.transitions_from(s1))
+        return not any(t1 in m.targets(s2, a1) for t1 in m.targets(s1, a2))
     raise ValueError(f"unknown condition {v.condition}")
 
 

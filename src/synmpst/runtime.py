@@ -155,7 +155,7 @@ def check_trace(m: Mlts, trace: Trace) -> Optional[int]:
     for i, action in enumerate(trace.actions):
         if isinstance(action, TauAction):
             continue
-        targets = sorted(t for a, t in m.transitions_from(state) if a == action.action)
+        targets = m.targets(state, action.action)
         if not targets:
             return i
         state = targets[0]
@@ -209,8 +209,7 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
                 continue
             for action, after in steps:
                 if isinstance(action, CommAction):
-                    targets = sorted(t for a, t in m.transitions_from(state)
-                                     if a == action.action)
+                    targets = m.targets(state, action.action)
                     if not targets:
                         if len(breaks) < _WITNESS_CAP:
                             breaks.append((current, action, state))

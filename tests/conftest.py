@@ -3,7 +3,6 @@ import pathlib
 import pytest
 
 from synmpst.lts import build_lts
-from synmpst.mlts import as_mlts
 from synmpst.parser import ProtocolFile, parse_file, parse_mlts
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -31,7 +30,7 @@ def ring_lts(ring_pf):
 
 @pytest.fixture(scope="session")
 def ring_m(ring_lts):
-    return as_mlts(ring_lts)
+    return ring_lts.to_mlts()
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +43,7 @@ def ring_states(ring_pf, ring_lts):
     g6 = g5.branches[0].cont            # a->c:Get . c->a:Val . end
     g4 = g3.branches[0].cont            # end
     names = {"G1": ring, "G2": g2, "G3": g3, "G4": g4, "G5": g5, "G6": g6}
-    return {name: ring_lts.state_of(term) for name, term in names.items()}
+    return {name: ring_lts.terms.index(term) for name, term in names.items()}
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,8 @@ from conftest import CORPUS, GOLDEN, load_protocol
 from synmpst.cli import main as cli_main
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts, reach_without
-from synmpst.mlts import (DIAMOND, SENDER_DETERMINACY, as_mlts,
-                          check_well_behaved, receiver_disjoint,
-                          replay_violation)
+from synmpst.mlts import (DIAMOND, SENDER_DETERMINACY, check_well_behaved,
+                          receiver_disjoint, replay_violation)
 from synmpst.parser import parse_mlts
 from synmpst.runtime import explore, replay_trace, run
 from synmpst.terms import (GlobalAction, PayloadType, PRec, free_global_vars,
@@ -84,11 +83,11 @@ def test_criterion_04_negative_fixtures():
     for fname, sname, kind in (("ring_badpayload.smpst", "RingBadPayload", PAYLOAD_MISMATCH),
                                ("ring_badaction.smpst", "RingBadAction", UNEXPECTED_SEND)):
         pf = load_protocol(fname)
-        m = as_mlts(build_lts(pf.globals["Ring"]))
+        m = build_lts(pf.globals["Ring"]).to_mlts()
         out = type_session(m, pf.session(sname), roles_of(pf.globals["Ring"]))
         assert isinstance(out, list) and [e.kind for e in out] == [kind], fname
     pf = load_protocol("confusion.smpst")
-    m = as_mlts(build_lts(pf.globals["Confusion"]))
+    m = build_lts(pf.globals["Confusion"]).to_mlts()
     for sname in ("ConfusionFoo", "ConfusionBar"):
         out = type_session(m, pf.session(sname), roles_of(pf.globals["Confusion"]))
         assert isinstance(out, list) and out, sname
@@ -102,10 +101,10 @@ def test_criterion_05_empirical_well_behavedness():
                  "twobuyers", "mapreduce", "workers"):
         pf = load_protocol(f"{name}.smpst")
         for gname, g in pf.globals.items():
-            assert check_well_behaved(as_mlts(build_lts(g))) == [], (name, gname)
+            assert check_well_behaved(build_lts(g).to_mlts()) == [], (name, gname)
     for i in range(100):
         g = random_global_type(random.Random(1000 + i), max_depth=6)
-        violations = check_well_behaved(as_mlts(build_lts(g)))
+        violations = check_well_behaved(build_lts(g).to_mlts())
         assert violations == [], (i, violations)
     report(5, "all corpus globals and 100 seeded random global types "
               "are well-behaved (0 violations)")
@@ -136,7 +135,7 @@ def test_criterion_07_empirical_progress_preservation():
     worst = 0.0
     for fname, gname, sname in cases:
         pf = load_protocol(fname)
-        m = as_mlts(build_lts(pf.globals[gname]))
+        m = build_lts(pf.globals[gname]).to_mlts()
         started = time.perf_counter()
         result = explore(m, pf.session(sname), 200)
         elapsed = time.perf_counter() - started
@@ -154,7 +153,7 @@ def test_criterion_07_empirical_progress_preservation():
 
 
 def test_criterion_08_lasso_relaxation(lasso_pf, lasso_lts):
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     dave = lasso_pf.processes["LassoDave"][1]
     relaxed = type_process(m, (), (), "d", dave, m.initial)
     assert isinstance(relaxed, Derivation)
@@ -180,13 +179,12 @@ def test_criterion_09_diamond_general_case(diamond_m):
 def test_criterion_10_out_of_order_com2():
     pf = load_protocol("com2.smpst")
     g = pf.globals["Com2"]
-    lts = build_lts(g)
-    (first_action, after_first), = lts.transitions_from(lts.initial)
+    m = build_lts(g).to_mlts()
+    (first_action, after_first), = m.transitions_from(m.initial)
     assert first_action == act("a", "b1", "Foo")
-    actions_after = {a for a, _ in lts.transitions_from(after_first)}
+    actions_after = {a for a, _ in m.transitions_from(after_first)}
     assert act("a", "b2", "Foo") in actions_after
     assert act("b1", "c", "Bar") in actions_after
-    m = as_mlts(lts)
     out = type_session(m, pf.session("Com2Demo"), roles_of(g))
     assert isinstance(out, dict)
     result = explore(m, pf.session("Com2Demo"), 100)
@@ -266,7 +264,7 @@ def test_criterion_11c_forward_admissibility():
                                 ("mapreduce.smpst", "MapReduce", "MapReduceDemo"),
                                 ("workers.smpst", "Workers", "WorkersDemo")):
         pf = load_protocol(fname)
-        m = mltss[fname] = as_mlts(build_lts(pf.globals[gname]))
+        m = mltss[fname] = build_lts(pf.globals[gname]).to_mlts()
         out = type_session(m, pf.session(sname), roles_of(pf.globals[gname]))
         assert isinstance(out, dict)
         for role, derivation in out.items():

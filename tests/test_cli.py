@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import CORPUS
 from synmpst.cli import main
 
@@ -212,3 +214,88 @@ def test_bench_corpus_all_rows_pass(capsys):
 def test_bench_requires_directory(capsys):
     code, _, err = run_cli(capsys, "bench", RING)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["explore", RING, "--max-depth", "0"], "--max-depth"),
+    (["explore", RING, "--max-depth", "-1"], "--max-depth"),
+    (["bench", str(CORPUS), "--max-depth", "-1"], "--max-depth"),
+    (["check", RING, "--state-cap", "0"], "--state-cap"),
+    (["lts", RING, "--state-cap", "-5"], "--state-cap"),
+    (["simulate", RING, "--max-steps", "-1"], "--max-steps"),
+])
+def test_out_of_range_integers_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+
+
+def test_non_integer_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", RING, "--max-depth", "deep"])
+    assert exc.value.code == 2
+    assert "argument --max-depth: invalid int value: 'deep'" in capsys.readouterr().err
+
+
+def test_state_cap_env_below_one_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("SYNMPST_STATE_CAP", "0")
+    code, out, err = run_cli(capsys, "check", RING)
+    assert code == 2
+    assert out == ""
+    assert "SYNMPST_STATE_CAP must be at least 1" in err
+
+
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    latin = tmp_path / "latin1.smpst"
+    latin.write_bytes("// caf\u00e9\nglobal G = end;\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "check", str(latin))
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err and "Traceback" not in err
+    code, _, err = run_cli(capsys, "check", RING, "--mlts", str(latin))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command, good, bad", [
+    ("check", "3 roles well-typed", "ill-typed"),
+    ("explore", "sound at this depth", "violations found"),
+])
+def test_classifier_resolution_rule(capsys, tmp_path, command, good, bad):
+    diamond = str(CORPUS / "diamond.mlts.json")
+    # --mlts overrides the declared global Ring.
+    code, out, _ = run_cli(capsys, command, RING, "--mlts", diamond)
+    assert code == 1
+    assert bad in out
+    # A directive serves only sessions whose global is undeclared.
+    directed = tmp_path / "ring.smpst"
+    directed.write_text(f"// classifier: {diamond}\n" + (CORPUS / "ring.smpst").read_text())
+    code, out, _ = run_cli(capsys, command, str(directed))
+    assert code == 0
+    assert good in out
+
+
+def test_explore_unverified_mlts_requires_flag(capsys, tmp_path):
+    bad = tmp_path / "bad.mlts.json"
+    bad.write_text(json.dumps({
+        "states": ["s", "t1", "t2"],
+        "initial": "s",
+        "transitions": [
+            {"from": "s", "to": "t1", "sender": "a", "receiver": "b",
+             "label": "L", "payload": "Unit"},
+            {"from": "s", "to": "t2", "sender": "c", "receiver": "b",
+             "label": "M", "payload": "Unit"},
+        ]}))
+    proto = tmp_path / "p.smpst"
+    proto.write_text("process P at z = end;\nsession S of Ext = { z: P };\n")
+    code, out, err = run_cli(capsys, "explore", str(proto), "--mlts", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "not well-behaved" in err
+    code, out, _ = run_cli(capsys, "explore", str(proto), "--mlts", str(bad),
+                           "--allow-unverified")
+    assert code == 0
+    assert "sound at this depth" in out

@@ -91,69 +91,69 @@ def test_step_is_pure(ring_pf):
 # -- derived relations on the Ring LTS ----------------------------------------
 
 
-def test_step_with_examples(ring_lts, ring_states):
+def test_step_with_examples(ring_m, ring_states):
     g = ring_states
-    assert step_with(ring_lts, g["G3"], {"a"}) == {(act("c", "a", "Val", NAT), g["G4"])}
-    assert step_with(ring_lts, g["G2"], {"a"}) == frozenset()
+    assert step_with(ring_m, g["G3"], {"a"}) == {(act("c", "a", "Val", NAT), g["G4"])}
+    assert step_with(ring_m, g["G2"], {"a"}) == frozenset()
     # empty requirement keeps every transition
-    for s in ring_lts.states:
-        assert step_with(ring_lts, s, ()) == frozenset(ring_lts.transitions_from(s))
+    for s in ring_m.states:
+        assert step_with(ring_m, s, ()) == frozenset(ring_m.transitions_from(s))
 
 
-def test_step_without_examples(ring_lts, ring_states):
+def test_step_without_examples(ring_m, ring_states):
     g = ring_states
-    assert step_without(ring_lts, g["G2"], {"a"}) == \
+    assert step_without(ring_m, g["G2"], {"a"}) == \
         {(act("b", "c", "AppThenGet", NAT), g["G3"])}
-    both = step_without(ring_lts, g["G1"], {"c"})
+    both = step_without(ring_m, g["G1"], {"c"})
     assert {a for a, _ in both} == {act("a", "b", "AppThenGet", NAT), act("a", "b", "App", NAT)}
-    assert step_without(ring_lts, g["G4"], {"a"}) == frozenset()
+    assert step_without(ring_m, g["G4"], {"a"}) == frozenset()
 
 
-def test_strong_step_without_examples(ring_lts, ring_states):
+def test_strong_step_without_examples(ring_m, ring_states):
     g = ring_states
-    strong = strong_step_without(ring_lts, g["G1"], {"c"})
+    strong = strong_step_without(ring_m, g["G1"], {"c"})
     assert len(strong) == 2
-    assert strong_step_without(ring_lts, g["G3"], {"a"}) == frozenset()
-    assert strong_step_without(ring_lts, g["G4"], {"a"}) == frozenset()
+    assert strong_step_without(ring_m, g["G3"], {"a"}) == frozenset()
+    assert strong_step_without(ring_m, g["G4"], {"a"}) == frozenset()
 
 
-def test_reach_without_examples(ring_lts, ring_states):
+def test_reach_without_examples(ring_m, ring_states):
     g = ring_states
-    assert reach_without(ring_lts, g["G1"], {"a"}) == (g["G1"],)
-    assert set(reach_without(ring_lts, g["G2"], {"a"})) == {g["G2"], g["G3"]}
-    assert reach_without(ring_lts, g["G4"], ()) == (g["G4"],)
+    assert reach_without(ring_m, g["G1"], {"a"}) == (g["G1"],)
+    assert set(reach_without(ring_m, g["G2"], {"a"})) == {g["G2"], g["G3"]}
+    assert reach_without(ring_m, g["G4"], ()) == (g["G4"],)
 
 
-def test_reach_strong_without(ring_lts, ring_states):
+def test_reach_strong_without(ring_m, ring_states):
     g = ring_states
-    assert set(reach_strong_without(ring_lts, g["G1"], {"c"})) == {g["G1"], g["G2"], g["G5"]}
-    assert reach_strong_without(ring_lts, g["G3"], {"a"}) == (g["G3"],)
+    assert set(reach_strong_without(ring_m, g["G1"], {"c"})) == {g["G1"], g["G2"], g["G5"]}
+    assert reach_strong_without(ring_m, g["G3"], {"a"}) == (g["G3"],)
 
 
-def test_enabled_and_active(ring_lts, ring_states):
+def test_enabled_and_active(ring_m, ring_states):
     g = ring_states
-    assert not enabled(ring_lts, g["G1"], "c")
-    assert active(ring_lts, g["G1"], "c")
-    assert not enabled(ring_lts, g["G6"], "b")
-    assert not active(ring_lts, g["G6"], "b")
-    assert not active(ring_lts, g["G1"], "nobody")
+    assert not enabled(ring_m, g["G1"], "c")
+    assert active(ring_m, g["G1"], "c")
+    assert not enabled(ring_m, g["G6"], "b")
+    assert not active(ring_m, g["G6"], "b")
+    assert not active(ring_m, g["G1"], "nobody")
 
 
-def test_partition_for_single_role(ring_lts):
-    for s in ring_lts.states:
-        full = frozenset(ring_lts.transitions_from(s))
+def test_partition_for_single_role(ring_m):
+    for s in ring_m.states:
+        full = frozenset(ring_m.transitions_from(s))
         for role in ("a", "b", "c"):
-            with_r = step_with(ring_lts, s, {role})
-            without_r = step_without(ring_lts, s, {role})
+            with_r = step_with(ring_m, s, {role})
+            without_r = step_without(ring_m, s, {role})
             assert with_r | without_r == full
             assert not with_r & without_r
 
 
-def test_strong_step_nonempty_implies_disabled(ring_lts):
-    for s in ring_lts.states:
+def test_strong_step_nonempty_implies_disabled(ring_m):
+    for s in ring_m.states:
         for role in ("a", "b", "c"):
-            if strong_step_without(ring_lts, s, {role}):
-                assert not step_with(ring_lts, s, {role})
+            if strong_step_without(ring_m, s, {role}):
+                assert not step_with(ring_m, s, {role})
 
 
 def test_corpus_fits_default_cap():
@@ -226,9 +226,9 @@ def test_par_steps_interleave():
 # -- export -------------------------------------------------------------------
 
 
-def test_dot_export_shape(ring_lts):
+def test_dot_export_shape(ring_m):
     import re
-    dot = lts_to_dot(ring_lts)
+    dot = lts_to_dot(ring_m)
     assert dot.startswith("digraph")
     edges = [line for line in dot.splitlines()
              if re.match(r"\s*s\d+ -> s\d+ \[", line)]
@@ -236,7 +236,8 @@ def test_dot_export_shape(ring_lts):
 
 
 def test_json_export_round_trips_as_mlts(ring_lts, ring_m):
-    doc = lts_to_json(ring_lts)
+    doc = lts_to_json(ring_m)
+    assert lts_to_json(ring_lts) == doc
     reparsed = parse_mlts(doc, "ring.json")
     assert not isinstance(reparsed, list)
     assert len(reparsed.labels) == len(ring_m.labels)

@@ -3,14 +3,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_protocol
+from conftest import CORPUS, load_protocol
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts
 from synmpst.mlts import (CONDITIONAL_COMMUTATIVITY, DETERMINISM, DIAMOND,
-                          SENDER_DETERMINACY, Mlts, as_mlts,
+                          SENDER_DETERMINACY, Mlts,
                           check_well_behaved, receiver_disjoint,
                           replay_violation, violations_to_json)
-from synmpst.terms import GEnd, GlobalAction, PayloadType
+from synmpst.terms import GEnd, GlobalAction, PayloadType, pretty_global
 
 UNIT = PayloadType.UNIT
 
@@ -49,12 +49,12 @@ def test_diamond_mlts_well_behaved(diamond_m):
 
 
 def test_end_lts_trivially_ok():
-    assert check_well_behaved(as_mlts(build_lts(GEnd()))) == []
+    assert check_well_behaved(build_lts(GEnd()).to_mlts()) == []
 
 
 def test_workers_par_diamonds_close():
     pf = load_protocol("workers.smpst")
-    m = as_mlts(build_lts(pf.globals["Workers"]))
+    m = build_lts(pf.globals["Workers"]).to_mlts()
     assert check_well_behaved(m) == []
     # the interleaving really does produce reorderable pairs
     assert any(receiver_disjoint(a1, a2)
@@ -133,11 +133,28 @@ def test_replay_rejects_fabricated_witness(ring_m):
     assert not replay_violation(ring_m, fake)
 
 
-def test_as_mlts_is_identity_repackaging(ring_lts, ring_m):
-    assert as_mlts(ring_m) is ring_m
-    again = as_mlts(ring_lts)
-    assert again.transitions == ring_m.transitions
-    assert again.initial == ring_m.initial
+def test_to_mlts_keeps_transitions_and_labels_terms(ring_lts):
+    m = ring_lts.to_mlts()
+    assert m.transitions == ring_lts.transitions
+    assert m.initial == 0
+    assert m.labels == tuple(pretty_global(t) for t in ring_lts.terms)
+
+
+def test_targets_agree_with_transitions_from(diamond_m):
+    ms = [diamond_m, nondeterminism_fixture()]
+    for path in sorted(CORPUS.glob("*.smpst")):
+        pf = load_protocol(path.name, allow_unresolved=True)
+        ms += [build_lts(g).to_mlts() for g in pf.globals.values()]
+    assert len(ms) > 10
+    absent = act("nobody", "none", "Absent")
+    for m in ms:
+        for s in m.states:
+            offered = {a for a, _ in m.transitions_from(s)}
+            for a in m.actions | {absent}:
+                expected = tuple(sorted(t for b, t in m.transitions_from(s) if b == a))
+                assert m.targets(s, a) == expected
+                assert (m.targets(s, a) == ()) == (a not in offered)
+    assert nondeterminism_fixture().targets(0, act("a", "b", "L")) == (1, 2)
 
 
 def test_corpus_globals_all_well_behaved():
@@ -145,13 +162,13 @@ def test_corpus_globals_all_well_behaved():
                  "twobuyers", "mapreduce", "workers"):
         pf = load_protocol(f"{name}.smpst")
         for gname, g in pf.globals.items():
-            assert check_well_behaved(as_mlts(build_lts(g))) == [], (name, gname)
+            assert check_well_behaved(build_lts(g).to_mlts()) == [], (name, gname)
 
 
 def test_random_types_well_behaved_smoke():
     for i in range(25):
         g = random_global_type(random.Random(7000 + i))
-        assert check_well_behaved(as_mlts(build_lts(g))) == []
+        assert check_well_behaved(build_lts(g).to_mlts()) == []
 
 
 def test_reachable_restriction_preserves_verdict(ring_m):

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import load_protocol
 from synmpst.lts import build_lts
-from synmpst.mlts import as_mlts
 from synmpst.runtime import (CommAction, EvalError, TauAction, Trace,
                              check_trace, eval_expr, explore,
                              render_message_sequence, replay_trace, run,
@@ -172,7 +171,7 @@ def test_explore_flags_tau_cycles(ring_m):
 
 
 def test_explore_lasso_closes_finitely(lasso_pf, lasso_lts):
-    report = explore(as_mlts(lasso_lts), lasso_pf.session("LassoDemo"), 20)
+    report = explore(lasso_lts.to_mlts(), lasso_pf.session("LassoDemo"), 20)
     assert report.sound_at_depth
     assert report.complete   # revisited configurations are deduplicated
 
@@ -187,7 +186,7 @@ def test_explore_all_well_typed_corpus_sessions():
              ("workers.smpst", "Workers", "WorkersDemo")]
     for fname, gname, sname in cases:
         pf = load_protocol(fname)
-        m = as_mlts(build_lts(pf.globals[gname]))
+        m = build_lts(pf.globals[gname]).to_mlts()
         report = explore(m, pf.session(sname), 200)
         assert report.sound_at_depth, (fname, report)
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import GOLDEN, load_protocol
 from synmpst.lts import build_lts, reach_without
-from synmpst.mlts import Mlts, as_mlts
+from synmpst.mlts import Mlts
 from synmpst.terms import (Add, BoolLit, Eq, GlobalAction, NatLit, PayloadType,
                            PEnd, PRec, PRecv, PSend, PVar, RecvBranch, Session,
                            StrLit, UnitLit, VarRef, roles_of)
@@ -194,14 +194,14 @@ def test_benchmark_sessions_well_typed():
              ("workers.smpst", "Workers", "WorkersDemo")]
     for fname, gname, sname in cases:
         pf = load_protocol(fname)
-        m = as_mlts(build_lts(pf.globals[gname]))
+        m = build_lts(pf.globals[gname]).to_mlts()
         out = type_session(m, pf.session(sname), roles_of(pf.globals[gname]))
         assert isinstance(out, dict), (fname, out)
 
 
 def test_wrong_payload_is_payload_mismatch():
     pf = load_protocol("ring_badpayload.smpst")
-    m = as_mlts(build_lts(pf.globals["Ring"]))
+    m = build_lts(pf.globals["Ring"]).to_mlts()
     out = type_session(m, pf.session("RingBadPayload"), roles_of(pf.globals["Ring"]))
     assert isinstance(out, list)
     assert [e.kind for e in out] == [PAYLOAD_MISMATCH]
@@ -209,7 +209,7 @@ def test_wrong_payload_is_payload_mismatch():
 
 def test_wrong_action_is_unexpected_send():
     pf = load_protocol("ring_badaction.smpst")
-    m = as_mlts(build_lts(pf.globals["Ring"]))
+    m = build_lts(pf.globals["Ring"]).to_mlts()
     out = type_session(m, pf.session("RingBadAction"), roles_of(pf.globals["Ring"]))
     assert isinstance(out, list)
     assert [e.kind for e in out] == [UNEXPECTED_SEND]
@@ -217,7 +217,7 @@ def test_wrong_action_is_unexpected_send():
 
 def test_confusion_candidates_both_fail():
     pf = load_protocol("confusion.smpst")
-    m = as_mlts(build_lts(pf.globals["Confusion"]))
+    m = build_lts(pf.globals["Confusion"]).to_mlts()
     required = roles_of(pf.globals["Confusion"])
     for sname in ("ConfusionFoo", "ConfusionBar"):
         out = type_session(m, pf.session(sname), required)
@@ -270,7 +270,7 @@ def test_if_checks_both_arms(ring_pf, ring_m, ring_states):
 
 
 def test_lasso_relaxed_var_rule(lasso_pf, lasso_lts):
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     dave = lasso_pf.processes["LassoDave"][1]
     out = type_process(m, (), (), "d", dave, m.initial)
     assert isinstance(out, Derivation)
@@ -284,7 +284,7 @@ def test_lasso_relaxed_var_rule(lasso_pf, lasso_lts):
 
 
 def test_lasso_strict_var_toggle_fails(lasso_pf, lasso_lts):
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     dave = lasso_pf.processes["LassoDave"][1]
     out = type_process(m, (), (), "d", dave, m.initial, strict_var=True)
     assert isinstance(out, TcError)
@@ -292,7 +292,7 @@ def test_lasso_strict_var_toggle_fails(lasso_pf, lasso_lts):
 
 
 def test_lasso_session_well_typed(lasso_pf, lasso_lts):
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     out = type_session(m, lasso_pf.session("LassoDemo"),
                        roles_of(lasso_pf.globals["Lasso"]))
     assert isinstance(out, dict)
@@ -300,7 +300,7 @@ def test_lasso_session_well_typed(lasso_pf, lasso_lts):
 
 def test_var_rule_checks_reachability_direction(lasso_pf, lasso_lts):
     # binding at a state that cannot reach the use site without the role fails
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     carol_loop = PRec("X", PRecv("b", (RecvBranch("Foo", "x", UNIT, PVar("X")),)))
     out = type_process(m, (), (), "c", carol_loop, m.initial)
     assert isinstance(out, TcError) and out.kind == VAR_STATE_UNREACHABLE
@@ -315,7 +315,7 @@ def test_diamond_processes_against_json_mlts(diamond_m):
 
 def test_com2_session_well_typed():
     pf = load_protocol("com2.smpst")
-    m = as_mlts(build_lts(pf.globals["Com2"]))
+    m = build_lts(pf.globals["Com2"]).to_mlts()
     out = type_session(m, pf.session("Com2Demo"), roles_of(pf.globals["Com2"]))
     assert isinstance(out, dict)
 
@@ -348,7 +348,7 @@ def test_forwarding_not_admissible_at_rec_binders(lasso_pf, lasso_lts):
     # at the initial Lasso state, the state moves twice without d, and there
     # the same rec term is underivable because re-binding anchors the
     # loop-back variable at a state with no d-free path to the use site.
-    m = as_mlts(lasso_lts)
+    m = lasso_lts.to_mlts()
     dave = lasso_pf.processes["LassoDave"][1]
     assert isinstance(type_process(m, (), (), "d", dave, m.initial), Derivation)
     (mid,) = [t for _, t in m.transitions_from(m.initial)]
