@@ -7,6 +7,7 @@ row), 2 on usage, I/O, parse or resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -98,15 +99,17 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
     An --mlts file overrides every declared global; a `// classifier:`
     directive serves only the sessions whose global is not declared. An
     external MLTS must be well-behaved unless allow_unverified is set.
+    Each classifier is built, or gated, once per file.
     """
     directive = _CLASSIFIER_RE.search(text)
     external_path = mlts_path or (directive and str(Path(path).parent / directive.group(1)))
     external = _parse_mlts_file(external_path) if external_path else None
     pf = _parse_protocol(path, text, allow_unresolved=external is not None)
 
-    def classifier(session: str) -> tuple[Mlts, frozenset[str]]:
-        name = pf.sessions[session].global_name
-        if external is not None and (mlts_path is not None or name not in pf.globals):
+    @functools.cache
+    def resolve(name: Optional[str]) -> tuple[Mlts, frozenset[str]]:
+        """The classifier of a declared global, or of the external MLTS for None."""
+        if name is None:
             violations = [] if allow_unverified else check_well_behaved(external)
             if violations:
                 raise CliFailure(
@@ -118,6 +121,11 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
         except CapExceededError as e:
             raise CliFailure(f"{pf.path}: global {name}: {e}")
         return lts.to_mlts(), roles_of(pf.globals[name])
+
+    def classifier(session: str) -> tuple[Mlts, frozenset[str]]:
+        name = pf.sessions[session].global_name
+        uses_external = external is not None and (mlts_path is not None or name not in pf.globals)
+        return resolve(None if uses_external else name)
 
     return pf, classifier
 
@@ -391,6 +399,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliFailure as e:
         print(f"synmpst: error: {e}", file=sys.stderr)
         return e.code
+    except RecursionError:
+        print(f"synmpst: error: input nested too deeply: exceeded the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

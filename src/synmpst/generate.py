@@ -14,7 +14,6 @@ it; the draw stays deterministic per seed.
 from __future__ import annotations
 
 import random
-import sys
 
 from .lts import CapExceededError, build_lts
 from .terms import (GBranch, GComm, GEnd, GlobalType, GMu, GPar, GVar,
@@ -25,7 +24,6 @@ _PAYLOADS = tuple(PayloadType)
 
 PROBE_CAP = 300
 _PROBE_TERM_NODES = 2_000
-_PROBE_RECURSION = 10_000
 
 
 def random_global_type(rng: random.Random, *, max_depth: int = 6,
@@ -34,16 +32,10 @@ def random_global_type(rng: random.Random, *, max_depth: int = 6,
     while True:
         g = _candidate(rng, max_depth, roles, max_branches)
         assert not check_wellformed_global(g)
-        # Unbounded candidates grow deep terms before hitting the probe cap;
-        # give structural comparison enough stack to get there.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, _PROBE_RECURSION))
         try:
             build_lts(g, PROBE_CAP, max_term_nodes=_PROBE_TERM_NODES)
-        except CapExceededError:
+        except CapExceededError:  # also raised when a state term nests too deeply
             continue
-        finally:
-            sys.setrecursionlimit(limit)
         return g
 
 

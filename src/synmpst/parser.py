@@ -9,8 +9,9 @@ start lowercase. `//` starts a line comment. Int literals carry their sign
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .mlts import Mlts
 from .terms import (Add, BoolLit, Eq, Expr, GBranch, GComm, GEnd, GlobalAction,
@@ -31,6 +32,8 @@ _SYMBOLS = ["->", "==", "||", "(", ")", "{", "}", "[", "]",
             ".", ",", ":", ";", "=", "+", "*"]
 
 _EXPR_ENDERS = {"NAT", "INT", "STRING", "LOWER", ")", "true", "false", "unit"}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -61,103 +64,57 @@ class ParseAbort(Exception):
         self.diagnostic = diagnostic
 
 
+# One alternative per token class, tried in order. \d is a decimal digit,
+# which int() reads; a word must also start with a letter or _, which the
+# scanner checks because \w admits digits such as '²' first.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<blank>[ \t\r]+|//[^\n]*)",
+    r"(?P<newline>\n)",
+    r'(?P<string>"(?:[^"\\\n]|\\["\\])*(?P<close>")?)',
+    r"(?P<int>[+-]\d+)",
+    r"(?P<nat>\d+)",
+    r"(?P<word>\w+)",
+    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<other>.)",
+]), re.DOTALL)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
 def tokenize(text: str, path: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
+    line, line_start = 1, 0
 
-    def error(message: str, ln: int, cl: int) -> ParseAbort:
-        return ParseAbort(Diagnostic("error", message, SourceSpan(path, ln, cl, ln, cl)))
+    def error(message: str, col: int) -> ParseAbort:
+        return ParseAbort(Diagnostic("error", message, SourceSpan(path, line, col, line, col)))
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise error("unterminated string literal", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '"\\':
-                        raise error("unsupported escape in string literal", line, col)
-                    chars.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(chars), start_line, start_col))
-            continue
-        if ch in "+-" and i + 1 < n and text[i + 1].isdigit():
-            # A sign starts an Int literal unless the previous token could end
-            # an expression, in which case + is the binary operator.
-            prev = tokens[-1].kind if tokens else None
-            if ch == "-" or prev not in _EXPR_ENDERS:
-                start_col = col
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("INT", text[i:j], line, start_col))
-                col += j - i
-                i = j
-                continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NAT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
-                kind = word
-            elif word in PAYLOAD_TYPES:
-                kind = "PTYPE"
-            elif word[0].isupper():
-                kind = "UPPER"
-            else:
-                kind = "LOWER"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+        lexeme, col = m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "string":
+            if m.group("close") is None:
+                if text.startswith("\\", m.end()):
+                    raise error("unsupported escape in string literal", col + len(lexeme))
+                raise error("unterminated string literal", col)
+            tokens.append(Token("STRING", _ESCAPE_RE.sub(r"\1", lexeme[1:-1]), line, col))
+        elif kind == "int" and lexeme[0] == "+" and tokens and tokens[-1].kind in _EXPR_ENDERS:
+            # A + directly after an expression is the binary operator.
+            tokens += [Token("+", "+", line, col), Token("NAT", lexeme[1:], line, col + 1)]
+        elif kind in ("int", "nat"):
+            tokens.append(Token(kind.upper(), lexeme, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            word_kind = (lexeme if lexeme in KEYWORDS else "PTYPE" if lexeme in PAYLOAD_TYPES
+                         else "UPPER" if lexeme[0].isupper() else "LOWER")
+            tokens.append(Token(word_kind, lexeme, line, col))
         else:
-            raise error(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            raise error(f"unexpected character {lexeme[0]!r}", col)
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -212,17 +169,23 @@ class _Parser:
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
         if self.at(kind):
             return self.advance()
+        raise self.unexpected(what or f"'{kind}'")
+
+    def unexpected(self, want: str) -> ParseAbort:
+        """The syntax error for a next token that is not what the grammar wants."""
         tok = self.peek()
-        want = what or f"'{kind}'"
-        found = tok.text or "end of file"
-        raise ParseAbort(Diagnostic("error", f"expected {want}, found {found!r}",
-                                    tok.span(self.path)))
+        found = "end of file" if tok.kind == "EOF" else tok.text
+        return ParseAbort(Diagnostic("error", f"expected {want}, found {found!r}",
+                                     tok.span(self.path)))
 
-    def expect_lower(self, what: str) -> Token:
-        return self.expect("LOWER", what)
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
-    def expect_upper(self, what: str) -> Token:
-        return self.expect("UPPER", what)
+    def role(self) -> Role:
+        return self.expect("LOWER", "a role").text
 
     def span_from(self, start: Token) -> SourceSpan:
         end = self.tokens[max(self.pos - 1, 0)]
@@ -240,7 +203,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "global":
                 self.advance()
-                name = self.expect_upper("a global-type name").text
+                name = self.expect("UPPER", "a global-type name").text
                 self.expect("=")
                 term = self.gtype()
                 self._declare(globals_, processes, sessions, "global", name, tok)
@@ -248,9 +211,9 @@ class _Parser:
                 order.append(("global", name))
             elif tok.kind == "process":
                 self.advance()
-                name = self.expect_upper("a process name").text
+                name = self.expect("UPPER", "a process name").text
                 self.expect("at")
-                role = self.expect_lower("a role").text
+                role = self.role()
                 self.expect("=")
                 term = self.proc()
                 self._declare(globals_, processes, sessions, "process", name, tok)
@@ -258,22 +221,18 @@ class _Parser:
                 order.append(("process", name))
             elif tok.kind == "session":
                 self.advance()
-                name = self.expect_upper("a session name").text
+                name = self.expect("UPPER", "a session name").text
                 self.expect("of")
-                gname = self.expect_upper("a global-type name").text
+                gname = self.expect("UPPER", "a global-type name").text
                 self.expect("=")
                 self.expect("{")
-                bindings = [self.binding()]
-                while self.accept(","):
-                    bindings.append(self.binding())
+                bindings = self.comma_list(self.binding)
                 self.expect("}")
                 self._declare(globals_, processes, sessions, "session", name, tok)
                 sessions[name] = SessionDecl(name, gname, tuple(bindings), self.span_from(tok))
                 order.append(("session", name))
             else:
-                raise ParseAbort(Diagnostic(
-                    "error", f"expected a declaration, found {tok.text or 'end of file'!r}",
-                    tok.span(self.path)))
+                raise self.unexpected("a declaration")
             self.expect(";")
         return globals_, processes, sessions, tuple(order)
 
@@ -284,9 +243,9 @@ class _Parser:
                                         tok.span(self.path)))
 
     def binding(self) -> tuple[Role, str]:
-        role = self.expect_lower("a role").text
+        role = self.role()
         self.expect(":")
-        pname = self.expect_upper("a process name").text
+        pname = self.expect("UPPER", "a process name").text
         return role, pname
 
     # -- global types ---------------------------------------------------------
@@ -298,7 +257,7 @@ class _Parser:
             return GEnd(span=tok.span(self.path))
         if tok.kind == "mu":
             self.advance()
-            var = self.expect_upper("a recursion variable").text
+            var = self.expect("UPPER", "a recursion variable").text
             self.expect(".")
             body = self.gtype()
             return GMu(var, body, span=self.span_from(tok))
@@ -321,27 +280,21 @@ class _Parser:
                 branches = (self.gbranch(),)
             else:
                 self.expect("{")
-                parsed = [self.gbranch()]
-                while self.accept(","):
-                    parsed.append(self.gbranch())
+                branches = tuple(self.comma_list(self.gbranch))
                 self.expect("}")
-                branches = tuple(parsed)
             span = self.span_from(tok)
             if len(receivers) > 1 and len(branches) > 1:
                 raise ParseAbort(Diagnostic(
                     "error", "multicast shorthand needs exactly one branch", span))
             return self._expand_multicast(sender, receivers, branches, span)
-        raise ParseAbort(Diagnostic("error", f"expected a global type, found {tok.text!r}",
-                                    tok.span(self.path)))
+        raise self.unexpected("a global type")
 
     def rcvr(self) -> list[Role]:
         if self.accept("["):
-            receivers = [self.expect_lower("a role").text]
-            while self.accept(","):
-                receivers.append(self.expect_lower("a role").text)
+            receivers = self.comma_list(self.role)
             self.expect("]")
             return receivers
-        return [self.expect_lower("a role").text]
+        return [self.role()]
 
     def _expand_multicast(self, sender: Role, receivers: list[Role],
                           branches: tuple[GBranch, ...], span: SourceSpan) -> GlobalType:
@@ -354,7 +307,7 @@ class _Parser:
         return term
 
     def gbranch(self) -> GBranch:
-        label = self.expect_upper("a message label").text
+        label = self.expect("UPPER", "a message label").text
         self.expect("(")
         payload = self.ptype()
         self.expect(")")
@@ -374,8 +327,8 @@ class _Parser:
             return PEnd(span=tok.span(self.path))
         if tok.kind == "send":
             self.advance()
-            to = self.expect_lower("a role").text
-            label = self.expect_upper("a message label").text
+            to = self.role()
+            label = self.expect("UPPER", "a message label").text
             self.expect("(")
             payload = self.expr()
             self.expect(")")
@@ -384,16 +337,14 @@ class _Parser:
             return PSend(to, label, payload, cont, span=self.span_from(tok))
         if tok.kind == "recv":
             self.advance()
-            from_ = self.expect_lower("a role").text
+            from_ = self.role()
             self.expect("{")
-            branches = [self.pbranch()]
-            while self.accept(","):
-                branches.append(self.pbranch())
+            branches = self.comma_list(self.pbranch)
             self.expect("}")
             return PRecv(from_, tuple(branches), span=self.span_from(tok))
         if tok.kind == "let":
             self.advance()
-            binder = self.expect_lower("a variable").text
+            binder = self.expect("LOWER", "a variable").text
             self.expect("=")
             rhs = self.expr()
             self.expect("in")
@@ -409,20 +360,19 @@ class _Parser:
             return PIf(cond, then, orelse, span=self.span_from(tok))
         if tok.kind == "rec":
             self.advance()
-            var = self.expect_upper("a recursion variable").text
+            var = self.expect("UPPER", "a recursion variable").text
             self.expect(".")
             body = self.proc()
             return PRec(var, body, span=self.span_from(tok))
         if tok.kind == "UPPER":
             self.advance()
             return PVar(tok.text, span=tok.span(self.path))
-        raise ParseAbort(Diagnostic("error", f"expected a process, found {tok.text!r}",
-                                    tok.span(self.path)))
+        raise self.unexpected("a process")
 
     def pbranch(self) -> RecvBranch:
-        label = self.expect_upper("a message label").text
+        label = self.expect("UPPER", "a message label").text
         self.expect("(")
-        binder = self.expect_lower("a variable").text
+        binder = self.expect("LOWER", "a variable").text
         self.expect(":")
         annot = self.ptype()
         self.expect(")")
@@ -437,7 +387,7 @@ class _Parser:
         while self.at("=="):
             tok = self.advance()
             right = self.additive()
-            left = Eq(left, right, span=SourceSpan(self.path, tok.line, tok.col, tok.line, tok.col + 1))
+            left = Eq(left, right, span=tok.span(self.path))
         return left
 
     def additive(self) -> Expr:
@@ -458,12 +408,14 @@ class _Parser:
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "NAT":
+        if tok.kind in ("NAT", "INT"):
             self.advance()
-            return NatLit(int(tok.text), span=tok.span(self.path))
-        if tok.kind == "INT":
-            self.advance()
-            return IntLit(int(tok.text), span=tok.span(self.path))
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise ParseAbort(Diagnostic("error", f"numeral too long ({len(tok.text)} characters)",
+                                            tok.span(self.path)))
+            return (NatLit if tok.kind == "NAT" else IntLit)(value, span=tok.span(self.path))
         if tok.kind == "STRING":
             self.advance()
             return StrLit(tok.text, span=tok.span(self.path))
@@ -484,8 +436,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        raise ParseAbort(Diagnostic("error", f"expected an expression, found {tok.text!r}",
-                                    tok.span(self.path)))
+        raise self.unexpected("an expression")
 
 
 def parse_file(text: str, path: str = "<input>", *,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -333,10 +333,6 @@ class Session:
         if len(set(roles)) != len(roles):
             raise ValueError("a session may implement each role at most once")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    @classmethod
-    def of(cls, mapping: Mapping[Role, Process]) -> "Session":
-        return cls(tuple(mapping.items()))
 
     @property
     def roles(self) -> tuple[Role, ...]:
@@ -693,10 +689,6 @@ def check_wellformed_process(p: Process) -> list[WfViolation]:
 
 # ---------------------------------------------------------------------------
 # Pretty printing (the inverse of the surface grammar)
-
-
-def pretty_payload(t: PayloadType) -> str:
-    return t.value
 
 
 def pretty_expr(e: Expr) -> str:

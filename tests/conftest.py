@@ -8,6 +8,17 @@ from synmpst.parser import ProtocolFile, parse_file, parse_mlts
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# Pieces of protocol text for fuzzing: every token class, signs, escapes,
+# comments, CR, tab, non-ASCII letters and digits, and characters outside
+# the syntax, such as the superscript digit '²', which is not a decimal digit.
+TOKEN_FRAGMENTS = [
+    "global", "process", "session", "at", "mu", "end", "par", "send", "recv",
+    "rec", "true", "unit", "Int", "Nat", "Foo", "X", "a", "b", "x_1", "_y",
+    "0", "42", "+", "-", "+3", "-12", "->", "==", "||", "|", "(", ")", "{", "}",
+    "[", "]", ".", ",", ":", ";", "=", "*", "/", "// c", '"', '"ab"', "\\",
+    '\\"', "\\\\", " ", "\t", "\r", "\n", "é", "λ", "٣", "²", "½", "$",
+]
+
 
 def load_protocol(name: str, *, allow_unresolved: bool = False) -> ProtocolFile:
     path = CORPUS / name

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import shutil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import CORPUS
+import synmpst.cli
+from conftest import CORPUS, TOKEN_FRAGMENTS
 from synmpst.cli import main
 
 RING = str(CORPUS / "ring.smpst")
@@ -299,3 +304,99 @@ def test_explore_unverified_mlts_requires_flag(capsys, tmp_path):
                            "--allow-unverified")
     assert code == 0
     assert "sound at this depth" in out
+
+
+@pytest.mark.parametrize("numeral, message", [
+    ("\u00b2", "unexpected character '\u00b2'"),
+    ("7" * 5000, "numeral too long (5000 characters)"),
+], ids=["superscript-digit", "5000-digits"])
+def test_malformed_numeral_is_a_syntax_error(capsys, tmp_path, numeral, message):
+    proto = tmp_path / "n.smpst"
+    proto.write_text(f"process P at a = send b Foo({numeral}) . end;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(proto))
+    assert code == 2
+    assert out == ""
+    assert err == f"synmpst: error: {proto}:1:29: error: {message}\n"
+
+
+DEEP_CHAIN = "global G = " + "a -> b: Foo(Nat) . " * 3000 + "end;\n"
+
+
+@pytest.mark.parametrize("command", ["check", "wb", "lts"])
+def test_depth_failure_is_a_usage_error(capsys, tmp_path, command):
+    chain = tmp_path / "chain.smpst"
+    chain.write_text(DEEP_CHAIN)
+    code, out, err = run_cli(capsys, command, str(chain))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("synmpst: error: ") and "recursion limit" in err
+
+
+def test_classifiers_resolved_once_per_file(capsys, monkeypatch, tmp_path):
+    calls = {"build_lts": 0, "check_well_behaved": 0}
+
+    def counted(name):
+        real = getattr(synmpst.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(synmpst.cli, name, wrapper)
+
+    counted("build_lts")
+    counted("check_well_behaved")
+    # Two sessions of the one global Confusion.
+    code, out, _ = run_cli(capsys, "check", str(CORPUS / "confusion.smpst"))
+    assert code == 1
+    assert out.count("ill-typed") == 2
+    assert calls == {"build_lts": 1, "check_well_behaved": 0}
+    # Two sessions of the one external MLTS: it is gated once.
+    twice = tmp_path / "twice.smpst"
+    twice.write_text((CORPUS / "diamond.smpst").read_text() +
+                     "session Again of Diamond = { a: DiamAlice, b: DiamBob, c: DiamCarol };\n")
+    code, out, _ = run_cli(capsys, "check", str(twice),
+                           "--mlts", str(CORPUS / "diamond.mlts.json"))
+    assert code == 0
+    assert out.count("3 roles well-typed") == 2
+    assert calls == {"build_lts": 1, "check_well_behaved": 1}
+
+
+_CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.smpst"))]
+_FUZZ_INSERTS = TOKEN_FRAGMENTS + ["7" * 5000, DEEP_CHAIN]
+
+
+@st.composite
+def _mutated_protocols(draw):
+    text = draw(st.sampled_from(_CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 30)))
+        text = text[:start] + draw(st.sampled_from(_FUZZ_INSERTS)) + text[stop:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(CORPUS / "diamond.mlts.json", directory)
+    return directory
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_mutated_protocols())
+@example("process P at a = send b Foo(\u00b2) . end;")
+@example("process P at a = send b Foo(" + "7" * 5000 + ") . end;")
+@example(DEEP_CHAIN)
+def test_cli_fuzz_holds_the_exit_code_contract(fuzz_dir, text):
+    """Every input ends in exit 0, 1 or 2, never a traceback, and exit 2
+    comes with an error message."""
+    proto = fuzz_dir / "fuzz.smpst"
+    proto.write_text(text, encoding="utf-8")
+    for command in (["check"], ["wb"], ["lts"], ["explore", "--max-depth", "30"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(proto), "--state-cap", "300"])
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("synmpst: error: "), (command, err.getvalue())

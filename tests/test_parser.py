@@ -1,6 +1,8 @@
-from conftest import CORPUS
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import CORPUS, TOKEN_FRAGMENTS
 from synmpst.mlts import Mlts
-from synmpst.parser import (ProtocolFile, parse_file, parse_mlts,
+from synmpst.parser import (ParseAbort, ProtocolFile, parse_file, parse_mlts,
                             pretty_file, tokenize)
 from synmpst.terms import GBranch, GComm, GEnd, PayloadType
 
@@ -40,6 +42,12 @@ def test_syntax_error_carries_position():
     assert d.span.file == "file.smpst"
     assert d.span.start_line == 1
     assert 1 <= d.span.start_col <= len("global G = a -> ;") + 1
+
+
+def test_error_at_end_of_file_after_a_comment():
+    out = parse_file("global G = a -> b: Foo(Nat) . // c", "f.smpst")
+    assert isinstance(out, list)
+    assert str(out[0]) == "f.smpst:1:35: error: expected a global type, found 'end of file'"
 
 
 def test_diagnostics_within_file_bounds():
@@ -143,6 +151,31 @@ def test_string_escapes_round_trip():
     assert pf.processes["P"][1].payload.value == 'he "quoted" \\ here'
     printed = pretty_file(pf)
     assert _token_stream(printed, "p") == _token_stream(text, "o")
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=14).map("".join))
+@example("global G = end; // trailing comment")
+@example('send b L("x\\"y") + 1 . x+2 // c\n\tPrice(+20)')
+def test_token_positions_point_into_the_source(text):
+    """Each token's (line, col) is where it starts in the source (a string at
+    its opening quote), EOF is just past the last character, and a lexical
+    error points at the character it names."""
+    lines = text.split("\n")
+    try:
+        tokens = tokenize(text, "f")
+    except ParseAbort as abort:
+        d = abort.diagnostic
+        at = lines[d.span.start_line - 1][d.span.start_col - 1]
+        assert d.message in (f"unexpected character {at!r}",
+                             {'"': "unterminated string literal",
+                              "\\": "unsupported escape in string literal"}.get(at))
+        return
+    for tok in tokens[:-1]:
+        source = lines[tok.line - 1][tok.col - 1:]
+        assert source.startswith('"' if tok.kind == "STRING" else tok.text), (tok, text)
+    eof = tokens[-1]
+    assert (eof.kind, eof.line, eof.col) == ("EOF", len(lines), len(lines[-1]) + 1)
 
 
 # -- MLTS JSON -----------------------------------------------------------------
