@@ -195,64 +195,44 @@ def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
 def step_with(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
     """Transitions of s in which every given role participates."""
     required = frozenset(roles)
+    if not m.involves(s, required):
+        return frozenset()
     return frozenset((a, t) for a, t in m.transitions_from(s) if required <= a.roles)
 
 
 def step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
     """Transitions of s in which none of the given roles participate."""
     banned = frozenset(roles)
-    return frozenset((a, t) for a, t in m.transitions_from(s) if not banned & a.roles)
+    return frozenset((a, t) for a, t in m.transitions_from(s)
+                     if a.sender not in banned and a.receiver not in banned)
 
 
 def strong_step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
-    """step_without, but only when no transition of s involves any given role."""
-    if step_with(m, s, roles):
+    """step_without, but only when no transition of s involves every given role."""
+    banned = frozenset(roles)
+    if m.involves(s, banned):
         return frozenset()
-    return step_without(m, s, roles)
-
-
-def _closure(m: Mlts, s: int, single_step) -> tuple[int, ...]:
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        state = frontier.pop()
-        for _, t in single_step(m, state):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return tuple(sorted(seen))
+    return step_without(m, s, banned)
 
 
 def reach_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
     """States reachable through zero or more transitions without the roles."""
-    banned = frozenset(roles)
-    return _closure(m, s, lambda m, st: step_without(m, st, banned))
+    return m.reach(s, frozenset(roles))
 
 
 def reach_strong_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
     """Reflexive-transitive closure of the strong role-avoiding step."""
-    banned = frozenset(roles)
-    return _closure(m, s, lambda m, st: strong_step_without(m, st, banned))
+    return m.reach(s, frozenset(roles), strong=True)
 
 
 def enabled(m: Mlts, s: int, role: str) -> bool:
     """role participates in some transition of s."""
-    return bool(step_with(m, s, (role,)))
+    return m.involves(s, frozenset((role,)))
 
 
 def active(m: Mlts, s: int, role: str) -> bool:
     """Some state reachable from s (via any transitions) enables role."""
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        state = frontier.pop()
-        for a, t in m.transitions_from(state):
-            if role in a.roles:
-                return True
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return False
+    return role in m.active_roles(s)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,67 @@ class Mlts:
             out |= {a.sender, a.receiver}
         return frozenset(out)
 
+    # -- reachability index: tables built on first use, answers memoised ----
+
+    @cached_property
+    def _succ(self) -> tuple[tuple[tuple[str, str, int], ...], ...]:
+        """Per state, the (sender, receiver, target) of each transition."""
+        return tuple(tuple((a.sender, a.receiver, t) for a, t in row) for row in self._outgoing)
+
+    @cached_property
+    def _involved(self) -> tuple[frozenset[str], ...]:
+        """Per state, the roles that take part in some transition."""
+        return tuple(frozenset(r for snd, rcv, _ in row for r in (snd, rcv)) for row in self._succ)
+
+    @cached_property
+    def _pairs(self) -> tuple[frozenset[frozenset[str]], ...]:
+        """Per state, the {sender, receiver} pair of each transition."""
+        return tuple(frozenset(frozenset((snd, rcv)) for snd, rcv, _ in row)
+                     for row in self._succ)
+
+    @cached_property
+    def _reach(self) -> dict[tuple[int, frozenset[str], bool], tuple[int, ...]]:
+        return {}
+
+    def involves(self, s: int, roles: frozenset[str]) -> bool:
+        """Some transition of s has every one of roles among its participants."""
+        if len(roles) == 2:
+            return roles in self._pairs[s]
+        involved = self._involved[s]
+        return len(roles) < 2 and bool(involved) and roles <= involved
+
+    def reach(self, s: int, banned: frozenset[str], strong: bool = False) -> tuple[int, ...]:
+        """States reachable from s, ascending, by transitions without the
+        banned roles; strong steps also leave no state that involves them all."""
+        key = (s, banned, strong)
+        hit = self._reach.get(key)
+        if hit is None:
+            hit = self._reach[key] = self._walk(s, banned, strong)
+        return hit
+
+    def _walk(self, s: int, banned: frozenset[str], strong: bool) -> tuple[int, ...]:
+        memo, succ = self._reach, self._succ
+        seen = {s}
+        frontier = [s]
+        while frontier:
+            state = frontier.pop()
+            # A closure already computed is a subset of this one: take it whole.
+            known = memo.get((state, banned, strong)) if state != s else None
+            if known is not None:
+                seen.update(known)
+                continue
+            if strong and self.involves(state, banned):
+                continue
+            for snd, rcv, t in succ[state]:
+                if t not in seen and snd not in banned and rcv not in banned:
+                    seen.add(t)
+                    frontier.append(t)
+        return tuple(sorted(seen))
+
+    def active_roles(self, s: int) -> frozenset[str]:
+        """Roles that take part in some transition reachable from s."""
+        return frozenset().union(*(self._involved[t] for t in self.reach(s, frozenset())))
+
 
 @dataclass(frozen=True)
 class WbViolation:

@@ -20,7 +20,7 @@ from .terms import (Add, BoolLit, Eq, Expr, GBranch, GComm, GEnd, GlobalAction,
                     Process, PSend, PVar, RecvBranch, Role, Session,
                     SourceSpan, StrLit, UnitLit, VarRef,
                     check_wellformed_global, check_wellformed_process,
-                    pretty_global, pretty_process)
+                    pretty_expr, pretty_global, pretty_process)
 
 KEYWORDS = {
     "global", "process", "session", "at", "of", "mu", "end", "par",
@@ -174,7 +174,12 @@ class _Parser:
     def unexpected(self, want: str) -> ParseAbort:
         """The syntax error for a next token that is not what the grammar wants."""
         tok = self.peek()
-        found = "end of file" if tok.kind == "EOF" else tok.text
+        if tok.kind == "EOF":
+            found = "end of file"
+        elif tok.kind == "STRING":
+            found = pretty_expr(StrLit(tok.text))    # in source form, quotes and all
+        else:
+            found = tok.text
         return ParseAbort(Diagnostic("error", f"expected {want}, found {found!r}",
                                      tok.span(self.path)))
 

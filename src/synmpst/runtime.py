@@ -149,16 +149,17 @@ def check_trace(m: Mlts, trace: Trace) -> Optional[int]:
     """Index of the first communication the classifier disallows, or None.
 
     Communications must follow transitions from the initial state;
-    internal actions leave the state unchanged.
+    internal actions leave the state unchanged. On a non-deterministic
+    classifier the trace may be in any of several states; an action is
+    disallowed when none of them offers it.
     """
-    state = m.initial
+    states = {m.initial}
     for i, action in enumerate(trace.actions):
         if isinstance(action, TauAction):
             continue
-        targets = m.targets(state, action.action)
-        if not targets:
+        states = {t for s in states for t in m.targets(s, action.action)}
+        if not states:
             return i
-        state = targets[0]
     return None
 
 
@@ -184,7 +185,8 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
     """Breadth-first search over session/state pairs, in lockstep with m.
 
     Every communication must be matched by a transition of the paired state
-    (else it is a preservation break); a quiescent configuration with a
+    (else it is a preservation break), and is followed to every target of
+    that transition; a quiescent configuration with a
     non-terminated process is stuck; a cycle of internal steps alone is a
     divergence witness.
     """
@@ -214,13 +216,14 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
                         if len(breaks) < _WITNESS_CAP:
                             breaks.append((current, action, state))
                         continue
-                    succ = (after, targets[0])
                 else:
-                    succ = (after, state)
-                    tau_edges.setdefault(config, []).append(succ)
-                if succ not in visited:
-                    visited.add(succ)
-                    next_frontier.append(succ)
+                    targets = (state,)
+                    tau_edges.setdefault(config, []).append((after, state))
+                for t in targets:
+                    succ = (after, t)
+                    if succ not in visited:
+                        visited.add(succ)
+                        next_frontier.append(succ)
         frontier = next_frontier
         if frontier:
             depth += 1

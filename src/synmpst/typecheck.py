@@ -8,10 +8,10 @@ classifier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from .lts import active, reach_strong_without, reach_without, step_with
+from .lts import reach_strong_without, reach_without, step_with
 from .mlts import Mlts
 from .terms import (Add, BoolLit, Eq, Expr, IntLit, Mul, NatLit, PayloadType,
                     PEnd, PIf, PLet, PRec, PRecv, Process, PSend, PVar,
@@ -165,6 +165,11 @@ class Checker:
         self.m = m
         self.strict_var = strict_var
         self._memo: dict = {}
+        # The skip premises depend on the role, the partner and the state
+        # only, never on the process or the environments.
+        self._skips: dict[tuple[Role, Role, int], Union[tuple[int, ...], TcError]] = {}
+        self._enabling: dict[tuple[Role, int], tuple[int, ...]] = {}
+        self._meetings: dict[tuple[int, frozenset[Role]], Optional[int]] = {}
 
     # -- public -------------------------------------------------------------
 
@@ -209,12 +214,12 @@ class Checker:
         if isinstance(p, PEnd):
             # Terminating is allowed when the role can never act again along
             # role-free futures.
-            for n in reach_without(m, s, (role,)):
-                if step_with(m, n, (role,)):
-                    raise _Fail(TcError(
-                        NOT_TERMINABLE, role, s,
-                        f"{role} ends, but state s{n} (reachable without {role}) "
-                        f"still involves {role}", span=p.span))
+            n = self._first_meeting(s, frozenset((role,)))
+            if n is not None:
+                raise _Fail(TcError(
+                    NOT_TERMINABLE, role, s,
+                    f"{role} ends, but state s{n} (reachable without {role}) "
+                    f"still involves {role}", span=p.span))
             return self._node(RULE_END, role, s, p, gamma, delta)
 
         if isinstance(p, PVar):
@@ -329,40 +334,71 @@ class Checker:
         (4) a direct communication with the process's partner never becomes
         available through transitions involving neither of them.
         """
-        m = self.m
         partner = obj(p)
         if partner is None:
             raise ValueError("skip applies only to send/receive processes")
+        key = (role, partner, s)
+        hit = self._skips.get(key)
+        if hit is None:
+            try:
+                hit = self._skip_premises(role, partner, s)
+            except _Fail as f:
+                hit = f.err
+            self._skips[key] = hit
+        if isinstance(hit, TcError):
+            raise _Fail(replace(hit, span=p.span))
+        return hit
 
+    def _skip_premises(self, role: Role, partner: Role, s: int) -> tuple[int, ...]:
+        m = self.m
         if step_with(m, s, (role,)):
             raise _Fail(TcError(
                 SKIP_FAILED, role, s,
-                f"{role} is enabled at state s{s}, so it may not skip", premise=1, span=p.span))
+                f"{role} is enabled at state s{s}, so it may not skip", premise=1))
 
         near_futures = reach_without(m, s, (role,))
         obligations: set[int] = set()
         for n in near_futures:
-            targets = [d for d in reach_strong_without(m, n, (role,))
-                       if step_with(m, d, (role,))]
+            targets = self._enabling_from(role, n)
             if not targets:
                 raise _Fail(TcError(
                     SKIP_FAILED, role, s,
                     f"from near future s{n}, no state enabling {role} is strongly reachable",
-                    premise=2, span=p.span))
+                    premise=2))
             obligations.update(targets)
 
+        alone, pair = frozenset((role,)), frozenset((role, partner))
         for n in near_futures:
-            if step_with(m, n, (role,)):
+            if m.involves(n, alone):
                 continue
-            for w in reach_without(m, n, (role, partner)):
-                if step_with(m, w, (role, partner)):
-                    raise _Fail(TcError(
-                        SKIP_FAILED, role, s,
-                        f"a direct {role}/{partner} communication becomes available at s{w} "
-                        f"without either of them acting (near future s{n})",
-                        premise=4, span=p.span))
+            w = self._first_meeting(n, pair)
+            if w is not None:
+                raise _Fail(TcError(
+                    SKIP_FAILED, role, s,
+                    f"a direct {role}/{partner} communication becomes available at s{w} "
+                    f"without either of them acting (near future s{n})", premise=4))
 
         return tuple(sorted(obligations))
+
+    def _enabling_from(self, role: Role, n: int) -> tuple[int, ...]:
+        """Premise 2 at n: the states enabling role strongly reachable from n."""
+        hit = self._enabling.get((role, n))
+        if hit is None:
+            m = self.m
+            hit = self._enabling[role, n] = tuple(
+                d for d in reach_strong_without(m, n, (role,)) if step_with(m, d, (role,)))
+        return hit
+
+    def _first_meeting(self, n: int, roles: frozenset[Role]) -> Optional[int]:
+        """The first state reachable from n without the roles at which some
+        transition involves them all: the state that keeps a role from ending
+        (one role), or that breaks premise 4 (role and partner)."""
+        key = (n, roles)
+        if key not in self._meetings:
+            m = self.m
+            self._meetings[key] = next(
+                (w for w in reach_without(m, n, roles) if m.involves(w, roles)), None)
+        return self._meetings[key]
 
 
 def type_process(m: Mlts, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
@@ -395,7 +431,7 @@ def type_session(m: Mlts, sess: Session, roles_required: frozenset[Role] = froze
     errors: list[TcError] = []
     implemented = set(sess.roles)
     required = set(roles_required)
-    required.update(r for r in m.roles if active(m, m.initial, r))
+    required.update(m.active_roles(m.initial))
     for missing in sorted(required - implemented):
         errors.append(TcError(
             ROLE_UNIMPLEMENTED, missing, m.initial,

@@ -50,6 +50,22 @@ def test_error_at_end_of_file_after_a_comment():
     assert str(out[0]) == "f.smpst:1:35: error: expected a global type, found 'end of file'"
 
 
+def test_syntax_error_shows_a_string_literal_in_source_form():
+    def message(text):
+        out = parse_file(text, "f.smpst")
+        assert isinstance(out, list)
+        return str(out[0])
+
+    assert message('global G = "ab";') == \
+        "f.smpst:1:12: error: expected a global type, found '\"ab\"'"
+    assert message('global G = "";') == \
+        "f.smpst:1:12: error: expected a global type, found '\"\"'"
+    assert message('global G = "a\\"b";') == \
+        "f.smpst:1:12: error: expected a global type, found '\"a\\\\\"b\"'"
+    # A role of the same spelling still reads without quotes.
+    assert message("global G = ab") == "f.smpst:1:14: error: expected '->', found 'end of file'"
+
+
 def test_diagnostics_within_file_bounds():
     text = "global G = end;\nprocess P at a = send b L(1) .\n"
     out = parse_file(text, "f.smpst")

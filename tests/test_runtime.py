@@ -4,6 +4,7 @@ import pytest
 
 from conftest import load_protocol
 from synmpst.lts import build_lts
+from synmpst.mlts import Mlts
 from synmpst.runtime import (CommAction, EvalError, TauAction, Trace,
                              check_trace, eval_expr, explore,
                              render_message_sequence, replay_trace, run,
@@ -161,6 +162,43 @@ def test_explore_flags_preservation_breaks(ring_pf, ring_m):
     assert report.preservation_breaks
     broken_session, action, state = report.preservation_breaks[0]
     assert action == CommAction(act("b", "c", "AppThenGet", NAT))
+
+
+def _forked_mlts():
+    """a->b:Go leads to s1 and to s2; s1 then offers b->c:Fwd, s2 only b->c:Alt."""
+    go, fwd, alt = act("a", "b", "Go"), act("b", "c", "Fwd"), act("b", "c", "Alt")
+    return Mlts(0, ("s0", "s1", "s2", "s3"),
+                frozenset({(0, go, 1), (0, go, 2), (1, fwd, 3), (2, alt, 3)}))
+
+
+def test_explore_follows_every_target_of_a_nondeterministic_classifier():
+    m = _forked_mlts()
+    assert m.targets(0, act("a", "b", "Go")) == (1, 2)
+    sess = Session((
+        ("a", PSend("b", "Go", UnitLit(), PEnd())),
+        ("b", PRecv("a", (RecvBranch("Go", "x", UNIT, PSend("c", "Fwd", UnitLit(), PEnd())),))),
+        ("c", PRecv("b", (RecvBranch("Fwd", "y", UNIT, PEnd()),))),
+    ))
+    report = explore(m, sess, 10)
+    # Only the second target of Go breaks preservation.
+    assert [(action, state) for _, action, state in report.preservation_breaks] == \
+        [(CommAction(act("b", "c", "Fwd")), 2)]
+    assert not report.sound_at_depth
+    assert report.configs_visited == 4    # s0, both targets of Go, and s3
+
+
+def test_check_trace_tracks_every_state_a_trace_can_be_in():
+    m = _forked_mlts()
+    sess = Session((("a", PEnd()),))
+
+    def trace(*labels):
+        return Trace(tuple(CommAction(act("a", "b", "Go") if label == "Go" else act("b", "c", label))
+                           for label in labels), sess)
+
+    assert check_trace(m, trace("Go", "Fwd")) is None
+    assert check_trace(m, trace("Go", "Alt")) is None
+    assert check_trace(m, trace("Go", "Nope")) == 1
+    assert check_trace(m, trace("Fwd")) == 0
 
 
 def test_explore_flags_tau_cycles(ring_m):
