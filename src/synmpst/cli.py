@@ -91,6 +91,14 @@ def _parse_mlts_file(path: str) -> Mlts:
     return result
 
 
+def _global_mlts(pf: ProtocolFile, name: str, cap: int) -> Mlts:
+    """The classifier of a declared global: its LTS, built within the state cap."""
+    try:
+        return build_lts(pf.globals[name], cap).to_mlts()
+    except CapExceededError as e:
+        raise CliFailure(f"{pf.path}: global {name}: {e}")
+
+
 def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unverified: bool
           ) -> tuple[ProtocolFile, Callable[[str], tuple[Mlts, frozenset[str]]]]:
     """Parse a protocol file; return it with the function that gives a
@@ -116,11 +124,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
                     f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
                     "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
             return external, frozenset()
-        try:
-            lts = build_lts(pf.globals[name], cap)
-        except CapExceededError as e:
-            raise CliFailure(f"{pf.path}: global {name}: {e}")
-        return lts.to_mlts(), roles_of(pf.globals[name])
+        return _global_mlts(pf, name, cap), roles_of(pf.globals[name])
 
     def classifier(session: str) -> tuple[Mlts, frozenset[str]]:
         name = pf.sessions[session].global_name
@@ -186,10 +190,7 @@ def cmd_lts(args) -> int:
     for name in names:
         if name not in pf.globals:
             raise CliFailure(f"{args.file}: unknown global {name}")
-        try:
-            m = build_lts(pf.globals[name], cap).to_mlts()
-        except CapExceededError as e:
-            raise CliFailure(f"global {name}: {e}")
+        m = _global_mlts(pf, name, cap)
         if args.format == "dot":
             chunks.append(lts_to_dot(m))
         elif args.format == "json":
@@ -216,11 +217,8 @@ def cmd_wb(args) -> int:
         pf = _parse_protocol(args.file, _read(args.file))
         if not pf.globals:
             raise CliFailure(f"{args.file}: no global types declared")
-        for name, term in pf.globals.items():
-            try:
-                m = build_lts(term, cap).to_mlts()
-            except CapExceededError as e:
-                raise CliFailure(f"global {name}: {e}")
+        for name in pf.globals:
+            m = _global_mlts(pf, name, cap)
             results.append((f"{args.file}:{name}", check_well_behaved(m)))
     any_violation = any(v for _, v in results)
     if args.format == "json":
@@ -340,29 +338,34 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "global-type LTSs and explicit MLTSs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices=("text", "json")):
+    def state_cap(p):
         p.add_argument("--state-cap", type=_int_at_least(1), default=None,
                        help=f"LTS state cap (default {DEFAULT_STATE_CAP}, "
                             "env SYNMPST_STATE_CAP)")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+
+    def output_format(p, choices=("text", "json")):
+        p.add_argument("--format", choices=choices, default=choices[0])
 
     p = sub.add_parser("check", help="type-check every session in the given files")
     p.add_argument("files", nargs="+")
     p.add_argument("--mlts", help="check sessions against this MLTS JSON file")
     p.add_argument("--allow-unverified", action="store_true",
                    help="skip the well-behavedness gate for --mlts classifiers")
-    common(p)
+    state_cap(p)
+    output_format(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lts", help="print the LTS of a file's global types")
     p.add_argument("file")
     p.add_argument("--global", dest="global_name", default=None)
-    common(p, ("text", "dot", "json"))
+    state_cap(p)
+    output_format(p, ("text", "dot", "json"))
     p.set_defaults(func=cmd_lts)
 
     p = sub.add_parser("wb", help="check well-behavedness of an MLTS or of globals")
     p.add_argument("file", help=".smpst protocol file or .json MLTS")
-    common(p)
+    state_cap(p)
+    output_format(p)
     p.set_defaults(func=cmd_wb)
 
     p = sub.add_parser("simulate", help="run one session under a seeded scheduler")
@@ -370,7 +373,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_int_at_least(0), default=1000)
-    common(p)
+    output_format(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("explore", help="exhaustively execute a session against its classifier")
@@ -379,13 +382,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlts", help="classifier MLTS JSON file")
     p.add_argument("--allow-unverified", action="store_true")
     p.add_argument("--max-depth", type=_int_at_least(1), default=200)
-    common(p)
+    state_cap(p)
+    output_format(p)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("bench", help="run check+wb+explore over a corpus directory")
     p.add_argument("dir")
     p.add_argument("--max-depth", type=_int_at_least(1), default=200)
-    common(p)
+    state_cap(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

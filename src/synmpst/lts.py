@@ -249,8 +249,9 @@ def lts_to_dot(m: Mlts) -> str:
     for s in m.states:
         shape = ', style="bold"' if s == m.initial else ""
         lines.append(f"  s{s} [label={_quote(m.labels[s])}{shape}];")
-    for src, action, dst in sorted(m.transitions, key=lambda t: (t[0], t[1].sort_key(), t[2])):
-        lines.append(f"  s{src} -> s{dst} [label={_quote(str(action))}];")
+    for src in m.states:
+        for action, dst in m.transitions_from(src):
+            lines.append(f"  s{src} -> s{dst} [label={_quote(str(action))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -264,7 +265,7 @@ def lts_to_json(lts: Union[Mlts, GlobalLts]) -> str:
         "transitions": [
             {"from": f"s{src}", "to": f"s{dst}", "sender": a.sender,
              "receiver": a.receiver, "label": a.label, "payload": a.payload.value}
-            for src, a, dst in sorted(m.transitions, key=lambda t: (t[0], t[1].sort_key(), t[2]))
+            for src in m.states for a, dst in m.transitions_from(src)
         ],
         "terms": {f"s{s}": m.labels[s] for s in m.states},
     }

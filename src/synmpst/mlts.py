@@ -56,6 +56,7 @@ class Mlts:
                      for row in table)
 
     def transitions_from(self, s: int) -> tuple[tuple[GlobalAction, int], ...]:
+        """The (action, target) transitions of s, ordered by action, then target."""
         return self._outgoing[s]
 
     @cached_property

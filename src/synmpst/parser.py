@@ -38,12 +38,12 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
+    """An error in an input file, at the span that shows it."""
     message: str
     span: SourceSpan
 
     def __str__(self) -> str:
-        return f"{self.span}: {self.severity}: {self.message}"
+        return f"{self.span}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def tokenize(text: str, path: str) -> list[Token]:
     line, line_start = 1, 0
 
     def error(message: str, col: int) -> ParseAbort:
-        return ParseAbort(Diagnostic("error", message, SourceSpan(path, line, col, line, col)))
+        return ParseAbort(Diagnostic(message, SourceSpan(path, line, col, line, col)))
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -180,7 +180,7 @@ class _Parser:
             found = pretty_expr(StrLit(tok.text))    # in source form, quotes and all
         else:
             found = tok.text
-        return ParseAbort(Diagnostic("error", f"expected {want}, found {found!r}",
+        return ParseAbort(Diagnostic(f"expected {want}, found {found!r}",
                                      tok.span(self.path)))
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
@@ -244,7 +244,7 @@ class _Parser:
     def _declare(self, globals_, processes, sessions, kind: str, name: str, tok: Token) -> None:
         table = {"global": globals_, "process": processes, "session": sessions}[kind]
         if name in table:
-            raise ParseAbort(Diagnostic("error", f"duplicate {kind} declaration {name}",
+            raise ParseAbort(Diagnostic(f"duplicate {kind} declaration {name}",
                                         tok.span(self.path)))
 
     def binding(self) -> tuple[Role, str]:
@@ -290,7 +290,7 @@ class _Parser:
             span = self.span_from(tok)
             if len(receivers) > 1 and len(branches) > 1:
                 raise ParseAbort(Diagnostic(
-                    "error", "multicast shorthand needs exactly one branch", span))
+                    "multicast shorthand needs exactly one branch", span))
             return self._expand_multicast(sender, receivers, branches, span)
         raise self.unexpected("a global type")
 
@@ -418,7 +418,7 @@ class _Parser:
             try:
                 value = int(tok.text)
             except ValueError:  # more digits than int() converts
-                raise ParseAbort(Diagnostic("error", f"numeral too long ({len(tok.text)} characters)",
+                raise ParseAbort(Diagnostic(f"numeral too long ({len(tok.text)} characters)",
                                             tok.span(self.path)))
             return (NatLit if tok.kind == "NAT" else IntLit)(value, span=tok.span(self.path))
         if tok.kind == "STRING":
@@ -468,29 +468,28 @@ def parse_file(text: str, path: str = "<input>", *,
 
     for name, term in globals_.items():
         for v in check_wellformed_global(term):
-            attached.append(Diagnostic("error", f"global {name}: {v.code}: {v.message}",
+            attached.append(Diagnostic(f"global {name}: {v.code}: {v.message}",
                                        v.span or span_of(term)))
     for name, (role, term) in processes.items():
         for v in check_wellformed_process(term):
-            attached.append(Diagnostic("error", f"process {name}: {v.code}: {v.message}",
+            attached.append(Diagnostic(f"process {name}: {v.code}: {v.message}",
                                        v.span or span_of(term)))
     for name, decl in sessions.items():
         seen_roles: set[str] = set()
         where = decl.span or top
         if decl.global_name not in globals_ and not allow_unresolved_globals:
             errors.append(Diagnostic(
-                "error", f"session {name} references unknown global {decl.global_name}", where))
+                f"session {name} references unknown global {decl.global_name}", where))
         for role, pname in decl.bindings:
             if role in seen_roles:
                 errors.append(Diagnostic(
-                    "error", f"session {name} binds role {role} twice", where))
+                    f"session {name} binds role {role} twice", where))
             seen_roles.add(role)
             if pname not in processes:
                 errors.append(Diagnostic(
-                    "error", f"session {name} references unknown process {pname}", where))
+                    f"session {name} references unknown process {pname}", where))
             elif processes[pname][0] != role:
                 errors.append(Diagnostic(
-                    "error",
                     f"session {name} binds {pname} to role {role}, but it is declared "
                     f"at role {processes[pname][0]}", where))
 
@@ -525,13 +524,13 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
     whole = SourceSpan(path, 1, 1, lines, max(len(text.splitlines()[-1]), 1) if text else 1)
 
     def fail(message: str) -> list[Diagnostic]:
-        return [Diagnostic("error", message, whole)]
+        return [Diagnostic(message, whole)]
 
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         span = SourceSpan(path, e.lineno, e.colno, e.lineno, e.colno)
-        return [Diagnostic("error", f"invalid JSON: {e.msg}", span)]
+        return [Diagnostic(f"invalid JSON: {e.msg}", span)]
 
     if not isinstance(doc, dict):
         return fail("MLTS document must be a JSON object")
@@ -542,7 +541,7 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
         return fail('"states" contains duplicate names')
     index = {name: i for i, name in enumerate(states)}
     initial = doc.get("initial")
-    if initial not in index:
+    if not isinstance(initial, str) or initial not in index:
         return fail(f'"initial" must name a declared state, got {initial!r}')
     raw_transitions = doc.get("transitions", [])
     if not isinstance(raw_transitions, list):
@@ -552,13 +551,13 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
     transitions: set[tuple[int, GlobalAction, int]] = set()
     for k, t in enumerate(raw_transitions):
         if not isinstance(t, dict):
-            diagnostics.append(Diagnostic("error", f"transition {k} must be an object", whole))
+            diagnostics.append(Diagnostic(f"transition {k} must be an object", whole))
             continue
         missing = [key for key in ("from", "to", "sender", "receiver", "label", "payload")
                    if not isinstance(t.get(key), str)]
         if missing:
             diagnostics.append(Diagnostic(
-                "error", f"transition {k} lacks string field(s): {', '.join(missing)}", whole))
+                f"transition {k} lacks string field(s): {', '.join(missing)}", whole))
             continue
         problems = []
         if t["from"] not in index:
@@ -571,7 +570,7 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
             problems.append(f"unknown payload type {t['payload']!r}")
         if problems:
             diagnostics.append(Diagnostic(
-                "error", f"transition {k}: " + "; ".join(problems), whole))
+                f"transition {k}: " + "; ".join(problems), whole))
             continue
         action = GlobalAction(t["sender"], t["receiver"], t["label"], PAYLOAD_TYPES[t["payload"]])
         transitions.add((index[t["from"]], action, index[t["to"]]))

@@ -338,12 +338,6 @@ class Session:
     def roles(self) -> tuple[Role, ...]:
         return tuple(r for r, _ in self.entries)
 
-    def get(self, role: Role) -> Optional[Process]:
-        for r, p in self.entries:
-            if r == role:
-                return p
-        return None
-
     def with_process(self, role: Role, proc: Process) -> "Session":
         return Session(tuple((r, proc if r == role else p) for r, p in self.entries))
 

@@ -1,10 +1,10 @@
 """Process and session typing directly against MLTS states.
 
-All rules except skipping are syntax-directed and applied first; when a
-send/receive head finds its role disabled at the current state, the skip rule
-takes over, computing future obligations from the reachability relations. The
-two phases are mutually exclusive, so checking always terminates on a finite
-classifier.
+All rules except skipping are syntax-directed. A send or receive head
+chooses once: if its role is disabled at the current state, the skip rule
+applies, computing future obligations from the reachability relations;
+otherwise the send or receive rule does. The two are mutually exclusive, so
+checking always terminates on a finite classifier.
 """
 from __future__ import annotations
 
@@ -71,16 +71,24 @@ class TcError:
 
 @dataclass(frozen=True)
 class Derivation:
-    """Tree of applied typing rules; children follow the rule's premises."""
+    """The rule that proves gamma; delta |- term at role |> state, and the
+    derivations of its premises in the rule's order."""
     rule: str
     role: Role
     state: int
-    proc: str
+    term: Process = field(repr=False)
+    gamma: DataEnv = field(repr=False)
+    delta: SessEnv = field(repr=False)
     children: tuple["Derivation", ...] = ()
-    obligations: tuple[int, ...] = ()
-    term: Optional[Process] = field(default=None, repr=False)
-    gamma: DataEnv = field(default=(), repr=False)
-    delta: SessEnv = field(default=(), repr=False)
+
+    @property
+    def proc(self) -> str:
+        return summarize_process(self.term)
+
+    @property
+    def obligations(self) -> tuple[int, ...]:
+        """The states a skipped process is checked again at, ascending."""
+        return tuple(c.state for c in self.children) if self.rule == RULE_SKIP else ()
 
     def iter_nodes(self):
         yield self
@@ -113,12 +121,13 @@ def _lookup(env, name):
 def type_expr(env: DataEnv, e: Expr) -> Union[PayloadType, TcError]:
     """Type of an expression in env, or the error that rules it out."""
     try:
-        return _type_expr(env, e)
+        return _type_expr(env, e, "", -1)
     except _Fail as f:
         return f.err
 
 
-def _type_expr(env: DataEnv, e: Expr) -> PayloadType:
+def _type_expr(env: DataEnv, e: Expr, role: Role, s: int) -> PayloadType:
+    """Type of e in env; a failure names role and state s."""
     if isinstance(e, UnitLit):
         return PayloadType.UNIT
     if isinstance(e, BoolLit):
@@ -132,22 +141,22 @@ def _type_expr(env: DataEnv, e: Expr) -> PayloadType:
     if isinstance(e, VarRef):
         t = _lookup(env, e.name)
         if t is None:
-            raise _Fail(TcError(UNBOUND_VAR, "", -1, f"variable {e.name} is unbound", span=e.span))
+            raise _Fail(TcError(UNBOUND_VAR, role, s, f"variable {e.name} is unbound", span=e.span))
         return t
     if isinstance(e, (Add, Mul)):
         op = "+" if isinstance(e, Add) else "*"
-        t1 = _type_expr(env, e.left)
-        t2 = _type_expr(env, e.right)
+        t1 = _type_expr(env, e.left, role, s)
+        t2 = _type_expr(env, e.right, role, s)
         if t1 == t2 and t1 in (PayloadType.NAT, PayloadType.INT):
             return t1
-        raise _Fail(TcError(EXPR_ILL_TYPED, "", -1,
+        raise _Fail(TcError(EXPR_ILL_TYPED, role, s,
                             f"operator {op} needs two Nat or two Int operands, got {t1} and {t2}",
                             span=e.span))
     if isinstance(e, Eq):
-        t1 = _type_expr(env, e.left)
-        t2 = _type_expr(env, e.right)
+        t1 = _type_expr(env, e.left, role, s)
+        t2 = _type_expr(env, e.right, role, s)
         if t1 != t2:
-            raise _Fail(TcError(EXPR_ILL_TYPED, "", -1,
+            raise _Fail(TcError(EXPR_ILL_TYPED, role, s,
                                 f"== compares a {t1} with a {t2}", span=e.span))
         return PayloadType.BOOL
     raise TypeError(f"not an expression: {e!r}")
@@ -197,16 +206,6 @@ class Checker:
         self._memo[key] = result
         return result
 
-    def _node(self, rule, role, s, p, gamma, delta, children=(), obligations=()):
-        return Derivation(rule, role, s, summarize_process(p), tuple(children),
-                          tuple(obligations), p, gamma, delta)
-
-    def _expr_type(self, gamma: DataEnv, e: Expr, role: Role, s: int) -> PayloadType:
-        try:
-            return _type_expr(gamma, e)
-        except _Fail as f:
-            raise _Fail(TcError(f.err.kind, role, s, f.err.message, span=f.err.span)) from None
-
     def _apply(self, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
                s: int) -> Derivation:
         m = self.m
@@ -220,7 +219,7 @@ class Checker:
                     NOT_TERMINABLE, role, s,
                     f"{role} ends, but state s{n} (reachable without {role}) "
                     f"still involves {role}", span=p.span))
-            return self._node(RULE_END, role, s, p, gamma, delta)
+            return Derivation(RULE_END, role, s, p, gamma, delta)
 
         if isinstance(p, PVar):
             bound = _lookup(delta, p.var)
@@ -236,21 +235,21 @@ class Checker:
                     VAR_STATE_UNREACHABLE, role, s,
                     f"recursion variable {p.var} was bound at state s{bound}, which does not "
                     f"reach s{s} without {role}", span=p.span))
-            return self._node(RULE_VAR, role, s, p, gamma, delta)
+            return Derivation(RULE_VAR, role, s, p, gamma, delta)
 
         if isinstance(p, PLet):
-            t = self._expr_type(gamma, p.rhs, role, s)
+            t = _type_expr(gamma, p.rhs, role, s)
             child = self._check(gamma + ((p.binder, t),), delta, role, p.cont, s)
-            return self._node(RULE_LET, role, s, p, gamma, delta, (child,))
+            return Derivation(RULE_LET, role, s, p, gamma, delta, (child,))
 
         if isinstance(p, PIf):
-            t = self._expr_type(gamma, p.cond, role, s)
+            t = _type_expr(gamma, p.cond, role, s)
             if t != PayloadType.BOOL:
                 raise _Fail(TcError(EXPR_ILL_TYPED, role, s,
                                     f"if condition has type {t}, expected Bool", span=p.span))
             then = self._check(gamma, delta, role, p.then, s)
             orelse = self._check(gamma, delta, role, p.orelse, s)
-            return self._node(RULE_IF, role, s, p, gamma, delta, (then, orelse))
+            return Derivation(RULE_IF, role, s, p, gamma, delta, (then, orelse))
 
         if isinstance(p, PRec):
             if not is_message_guarded(p.body, p.var):
@@ -258,25 +257,29 @@ class Checker:
                     f"process for {role} is not message-guarded on {p.var}; "
                     "well-formedness must be checked before typing")
             child = self._check(gamma, delta + ((p.var, s),), role, p.body, s)
-            return self._node(RULE_REC, role, s, p, gamma, delta, (child,))
+            return Derivation(RULE_REC, role, s, p, gamma, delta, (child,))
+
+        if not isinstance(p, (PSend, PRecv)):
+            raise TypeError(f"not a process: {p!r}")
+        t = _type_expr(gamma, p.payload, role, s) if isinstance(p, PSend) else None
+        # A disabled role has no transition to send or receive on: it may only
+        # skip, and an enabled role may not.
+        if not step_with(m, s, (role,)):
+            return self._skip(gamma, delta, role, p, s)
 
         if isinstance(p, PSend):
-            t = self._expr_type(gamma, p.payload, role, s)
-            matches = [(a, dst) for a, dst in m.transitions_from(s)
+            matches = [dst for a, dst in m.transitions_from(s)
                        if a.sender == role and a.receiver == p.to
                        and a.label == p.label and a.payload == t]
-            if matches:
-                failure: Optional[_Fail] = None
-                for _, dst in matches:
-                    try:
-                        child = self._check(gamma, delta, role, p.cont, dst)
-                        return self._node(RULE_SEND, role, s, p, gamma, delta, (child,))
-                    except _Fail as f:
-                        failure = failure or f
-                assert failure is not None
+            failure: Optional[_Fail] = None
+            for dst in matches:
+                try:
+                    child = self._check(gamma, delta, role, p.cont, dst)
+                    return Derivation(RULE_SEND, role, s, p, gamma, delta, (child,))
+                except _Fail as f:
+                    failure = failure or f
+            if failure is not None:
                 raise failure
-            if not step_with(m, s, (role,)):
-                return self._skip(gamma, delta, role, p, s)
             mistyped = sorted(a.payload.value for a, _ in m.transitions_from(s)
                               if a.sender == role and a.receiver == p.to and a.label == p.label)
             if mistyped:
@@ -288,41 +291,36 @@ class Checker:
                 UNEXPECTED_SEND, role, s,
                 f"state s{s} does not let {role} send {p.label} to {p.to}", span=p.span))
 
-        if isinstance(p, PRecv):
-            incoming = [(a, dst) for a, dst in m.transitions_from(s)
-                        if a.sender == p.from_ and a.receiver == role]
-            if not incoming:
-                if not step_with(m, s, (role,)):
-                    return self._skip(gamma, delta, role, p, s)
+        incoming = [(a, dst) for a, dst in m.transitions_from(s)
+                    if a.sender == p.from_ and a.receiver == role]
+        if not incoming:
+            raise _Fail(TcError(
+                ROLE_CLASH, role, s,
+                f"state s{s} involves {role}, but not in a receive from {p.from_}",
+                span=p.span))
+        by_label = {b.label: b for b in p.branches}
+        children = []
+        for a, dst in incoming:
+            branch = by_label.get(a.label)
+            if branch is None:
                 raise _Fail(TcError(
-                    ROLE_CLASH, role, s,
-                    f"state s{s} involves {role}, but not in a receive from {p.from_}",
-                    span=p.span))
-            by_label = {b.label: b for b in p.branches}
-            children = []
-            for a, dst in incoming:
-                branch = by_label.get(a.label)
-                if branch is None:
-                    raise _Fail(TcError(
-                        MISSING_RECV_BRANCH, role, s,
-                        f"state s{s} specifies a receive of {a.label} from {p.from_}, but "
-                        f"{role} implements no such branch", span=p.span))
-                if branch.annot != a.payload:
-                    raise _Fail(TcError(
-                        PAYLOAD_MISMATCH, role, s,
-                        f"branch {a.label}({branch.binder}: {branch.annot}) does not match "
-                        f"payload type {a.payload} at state s{s}", span=p.span))
-                children.append(self._check(
-                    gamma + ((branch.binder, a.payload),), delta, role, branch.cont, dst))
-            return self._node(RULE_RECV, role, s, p, gamma, delta, children)
-
-        raise TypeError(f"not a process: {p!r}")
+                    MISSING_RECV_BRANCH, role, s,
+                    f"state s{s} specifies a receive of {a.label} from {p.from_}, but "
+                    f"{role} implements no such branch", span=p.span))
+            if branch.annot != a.payload:
+                raise _Fail(TcError(
+                    PAYLOAD_MISMATCH, role, s,
+                    f"branch {a.label}({branch.binder}: {branch.annot}) does not match "
+                    f"payload type {a.payload} at state s{s}", span=p.span))
+            children.append(self._check(
+                gamma + ((branch.binder, a.payload),), delta, role, branch.cont, dst))
+        return Derivation(RULE_RECV, role, s, p, gamma, delta, tuple(children))
 
     def _skip(self, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
               s: int) -> Derivation:
-        obligations = self._try_skip(gamma, delta, role, p, s)
-        children = [self._check(gamma, delta, role, p, d) for d in obligations]
-        return self._node(RULE_SKIP, role, s, p, gamma, delta, children, obligations)
+        children = tuple(self._check(gamma, delta, role, p, d)
+                         for d in self._try_skip(gamma, delta, role, p, s))
+        return Derivation(RULE_SKIP, role, s, p, gamma, delta, children)
 
     def _try_skip(self, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
                   s: int) -> tuple[int, ...]:
@@ -419,8 +417,7 @@ def try_skip(m: Mlts, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
         return f.err
 
 
-def type_session(m: Mlts, sess: Session, roles_required: frozenset[Role] = frozenset(),
-                 *, strict_var: bool = False
+def type_session(m: Mlts, sess: Session, roles_required: frozenset[Role] = frozenset()
                  ) -> Union[dict[Role, Derivation], list[TcError]]:
     """Type every process of a session at the initial state of m.
 
@@ -437,7 +434,7 @@ def type_session(m: Mlts, sess: Session, roles_required: frozenset[Role] = froze
             ROLE_UNIMPLEMENTED, missing, m.initial,
             f"role {missing} occurs in the protocol but is not implemented"))
 
-    checker = Checker(m, strict_var=strict_var)
+    checker = Checker(m)
     derivations: dict[Role, Derivation] = {}
     for role, proc in sess.entries:
         try:

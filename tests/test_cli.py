@@ -127,6 +127,15 @@ def test_wb_detects_violations(capsys, tmp_path):
     assert "SenderDeterminacy" in out
 
 
+def test_wb_rejects_non_string_initial(capsys, tmp_path):
+    bad = tmp_path / "bad.mlts.json"
+    bad.write_text(json.dumps({"states": ["s"], "initial": ["s"], "transitions": []}))
+    code, out, err = run_cli(capsys, "wb", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("synmpst: error: ") and '"initial" must name a declared state' in err
+
+
 def test_wb_protocol_file(capsys):
     code, out, _ = run_cli(capsys, "wb", RING)
     assert code == 0
@@ -180,6 +189,25 @@ def test_state_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYNMPST_STATE_CAP", "not-a-number")
     code, _, err = run_cli(capsys, "check", RING)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "lts", "wb"])
+def test_state_cap_error_names_file_and_global(capsys, command):
+    code, out, err = run_cli(capsys, command, RING, "--state-cap", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"synmpst: error: {RING}: global Ring: state cap 2 exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", RING, "--state-cap", "5"],
+    ["bench", str(CORPUS), "--format", "json"],
+])
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_state_cap_flag_beats_env(capsys, monkeypatch):

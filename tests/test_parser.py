@@ -234,8 +234,9 @@ def test_parse_mlts_rejects_bad_json_and_schema():
     assert isinstance(out, list)
     out = parse_mlts('{"states": ["a", "a"], "initial": "a"}')
     assert isinstance(out, list)
-    out = parse_mlts('{"states": ["a"], "initial": "b"}')
-    assert isinstance(out, list)
+    for initial in ('"b"', '["a"]', '{}'):
+        out = parse_mlts(f'{{"states": ["a"], "initial": {initial}}}')
+        assert isinstance(out, list) and '"initial" must name a declared state' in out[0].message
 
 
 def test_keywords_are_reserved():

@@ -48,7 +48,7 @@ def test_ring_initial_has_single_rendezvous(ring_pf):
     action, after = steps[0]
     assert action == CommAction(act("a", "b", "AppThenGet", NAT))
     # the payload value reached Bob
-    bob = after.get("b")
+    bob = dict(after.entries)["b"]
     assert isinstance(bob, PSend) and bob.payload == Add(NatLit(5), NatLit(1))
 
 
@@ -73,11 +73,12 @@ def test_tau_steps_are_role_local():
     ))
     for action, after in session_step(sess):
         assert isinstance(action, TauAction)
+        procs_after = dict(after.entries)
         for role, proc in sess.entries:
             if role != action.role:
-                assert after.get(role) == proc
+                assert procs_after[role] == proc
             else:
-                assert after.get(role) != proc
+                assert procs_after[role] != proc
 
 
 def test_run_ring_matches_push_mode(ring_pf, ring_m):
