@@ -549,6 +549,9 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
 
     diagnostics: list[Diagnostic] = []
     transitions: set[tuple[int, GlobalAction, int]] = set()
+    # One object per distinct action, so that lookups keyed on actions
+    # compare by identity instead of field by field.
+    actions: dict[tuple[str, str, str, str], GlobalAction] = {}
     for k, t in enumerate(raw_transitions):
         if not isinstance(t, dict):
             diagnostics.append(Diagnostic(f"transition {k} must be an object", whole))
@@ -572,7 +575,10 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
             diagnostics.append(Diagnostic(
                 f"transition {k}: " + "; ".join(problems), whole))
             continue
-        action = GlobalAction(t["sender"], t["receiver"], t["label"], PAYLOAD_TYPES[t["payload"]])
+        fields = (t["sender"], t["receiver"], t["label"], t["payload"])
+        action = actions.get(fields)
+        if action is None:
+            action = actions[fields] = GlobalAction(*fields[:3], PAYLOAD_TYPES[fields[3]])
         transitions.add((index[t["from"]], action, index[t["to"]]))
 
     if diagnostics:

@@ -9,7 +9,7 @@ from typing import Optional, Union
 
 from .mlts import Mlts
 from .terms import (Add, BoolLit, Eq, Expr, GlobalAction, IntLit, Mul, NatLit,
-                    PEnd, PIf, PLet, PRec, PRecv, PSend, Role, Session,
+                    PEnd, PIf, PLet, PRec, PRecv, PSend, Process, Role, Session,
                     VarRef, is_value, pretty_expr, substitute_process_rec,
                     substitute_process_val)
 
@@ -72,52 +72,78 @@ class Trace:
     terminal: Session
 
 
-def session_step(sess: Session) -> list[tuple[RuntimeAction, Session]]:
+def session_step(sess: Session, memo: Optional[dict] = None
+                 ) -> list[tuple[RuntimeAction, Session]]:
     """All enabled steps of a session, in a fixed deterministic order.
 
     A communication fires only when sender and receiver are both at matching
     heads (synchronous rendezvous); its payload type is the receive branch's
     annotation. A step whose expression premise gets stuck is simply not
     enabled.
+
+    `memo`, when given, is a dict owned by the caller that keeps every local
+    move computed so far, so that stepping many sessions which share
+    processes unfolds, substitutes and evaluates each distinct one once.
+    Keys are processes, so a memo hashes every process it meets; without
+    one, nothing is hashed.
     """
     procs = dict(sess.entries)
     steps: list[tuple[RuntimeAction, Session]] = []
     for role, proc in sess.entries:
-        if isinstance(proc, PLet):
-            try:
-                v = eval_expr(proc.rhs)
-            except EvalError:
-                continue
-            after = substitute_process_val(proc.cont, proc.binder, v)
-            steps.append((TauAction(role), sess.with_process(role, after)))
-        elif isinstance(proc, PIf):
-            try:
-                v = eval_expr(proc.cond)
-            except EvalError:
-                continue
-            if isinstance(v, BoolLit):
-                after = proc.then if v.value else proc.orelse
-                steps.append((TauAction(role), sess.with_process(role, after)))
-        elif isinstance(proc, PRec):
-            after = substitute_process_rec(proc.body, proc.var, proc)
-            steps.append((TauAction(role), sess.with_process(role, after)))
-        elif isinstance(proc, PSend):
+        if isinstance(proc, PSend):
             partner = procs.get(proc.to)
             if not isinstance(partner, PRecv) or partner.from_ != role:
                 continue
-            branch = next((b for b in partner.branches if b.label == proc.label), None)
-            if branch is None:
-                continue
-            try:
-                v = eval_expr(proc.payload)
-            except EvalError:
-                continue
-            action = CommAction(GlobalAction(role, proc.to, proc.label, branch.annot))
-            after = sess.with_process(role, proc.cont).with_process(
-                proc.to, substitute_process_val(branch.cont, branch.binder, v))
-            steps.append((action, after))
+            move = _cached(memo, (role, proc, partner), _rendezvous, role, proc, partner)
+            if move is not None:
+                action, sent, received = move
+                steps.append((action, sess.with_processes({role: sent, proc.to: received})))
+        elif isinstance(proc, (PLet, PIf, PRec)):
+            after = _cached(memo, proc, _tau_successor, proc)
+            if after is not None:
+                steps.append((TauAction(role), sess.with_processes({role: after})))
     steps.sort(key=lambda step: step[0].sort_key())
     return steps
+
+
+def _cached(memo: Optional[dict], key, compute, *args):
+    """compute(*args), looked up in and kept in memo under key if there is one."""
+    if memo is None:
+        return compute(*args)
+    try:
+        return memo[key]
+    except KeyError:
+        result = memo[key] = compute(*args)
+        return result
+
+
+def _tau_successor(proc: Union[PLet, PIf, PRec]) -> Optional[Process]:
+    """The process after proc's internal step, or None if it is not enabled."""
+    if isinstance(proc, PRec):
+        return substitute_process_rec(proc.body, proc.var, proc)
+    try:
+        v = eval_expr(proc.rhs if isinstance(proc, PLet) else proc.cond)
+    except EvalError:
+        return None
+    if isinstance(proc, PLet):
+        return substitute_process_val(proc.cont, proc.binder, v)
+    if isinstance(v, BoolLit):
+        return proc.then if v.value else proc.orelse
+    return None
+
+
+def _rendezvous(role: Role, send: PSend, recv: PRecv):
+    """(action, sender after, receiver after) of a send meeting its receive,
+    or None if no branch takes the label or the payload does not evaluate."""
+    branch = next((b for b in recv.branches if b.label == send.label), None)
+    if branch is None:
+        return None
+    try:
+        v = eval_expr(send.payload)
+    except EvalError:
+        return None
+    action = CommAction(GlobalAction(role, send.to, send.label, branch.annot))
+    return action, send.cont, substitute_process_val(branch.cont, branch.binder, v)
 
 
 def run(sess: Session, seed: int, max_steps: int) -> Trace:
@@ -190,6 +216,7 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
     non-terminated process is stuck; a cycle of internal steps alone is a
     divergence witness.
     """
+    memo: dict = {}
     initial = (sess, m.initial)
     visited = {initial}
     frontier = [initial]
@@ -203,7 +230,7 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
         next_frontier: list[tuple[Session, int]] = []
         for config in frontier:
             current, state = config
-            steps = session_step(current)
+            steps = session_step(current, memo)
             if not steps:
                 if any(not isinstance(p, PEnd) for _, p in current.entries):
                     if len(stuck) < _WITNESS_CAP:

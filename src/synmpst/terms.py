@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
@@ -80,7 +81,7 @@ class GlobalAction:
         if self.sender == self.receiver:
             raise ValueError(f"action sender and receiver coincide: {self.sender}")
 
-    @property
+    @cached_property
     def roles(self) -> frozenset[Role]:
         return frozenset((self.sender, self.receiver))
 
@@ -338,8 +339,17 @@ class Session:
     def roles(self) -> tuple[Role, ...]:
         return tuple(r for r, _ in self.entries)
 
-    def with_process(self, role: Role, proc: Process) -> "Session":
-        return Session(tuple((r, proc if r == role else p) for r, p in self.entries))
+    def with_processes(self, updates: dict[Role, Process]) -> "Session":
+        """This session with the processes of some of its roles replaced.
+
+        The roles and their order stay, so the new session keeps the sorted,
+        validated layout and shares every unchanged entry instead of being
+        built afresh.
+        """
+        after = object.__new__(Session)
+        object.__setattr__(after, "entries", tuple(
+            (e[0], updates[e[0]]) if e[0] in updates else e for e in self.entries))
+        return after
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, TOKEN_FRAGMENTS
+from synmpst.lts import lts_to_json
 from synmpst.mlts import Mlts
 from synmpst.parser import (ParseAbort, ProtocolFile, parse_file, parse_mlts,
                             pretty_file, tokenize)
@@ -201,6 +202,16 @@ def test_parse_mlts_diamond(diamond_m):
     assert isinstance(diamond_m, Mlts)
     assert diamond_m.labels[diamond_m.initial] == "S1"
     assert len(diamond_m.transitions) == 4
+
+
+def test_parse_mlts_keeps_one_object_per_action(ring_lts):
+    exported, built = parse_mlts(lts_to_json(ring_lts)), ring_lts.to_mlts()
+    assert (exported.initial, exported.transitions) == (built.initial, built.transitions)
+    doc = ('{"states": ["s", "t"], "initial": "s", "transitions": ['
+           '{"from": "s", "to": "t", "sender": "a", "receiver": "b", "label": "L", "payload": "Unit"},'
+           '{"from": "t", "to": "s", "sender": "a", "receiver": "b", "label": "L", "payload": "Unit"}]}')
+    first, second = (a for _, a, _ in parse_mlts(doc).transitions)
+    assert first is second and first.roles is first.roles == frozenset("ab")
 
 
 def test_parse_mlts_minimal():

@@ -1,12 +1,15 @@
 import json
+from collections import Counter
 
 import pytest
 
-from conftest import load_protocol
+from conftest import CORPUS, load_protocol
+from synmpst import runtime
 from synmpst.lts import build_lts
 from synmpst.mlts import Mlts
-from synmpst.runtime import (CommAction, EvalError, TauAction, Trace,
-                             check_trace, eval_expr, explore,
+from synmpst.parser import parse_file, parse_mlts
+from synmpst.runtime import (CommAction, EvalError, ExploreReport, TauAction,
+                             Trace, check_trace, eval_expr, explore,
                              render_message_sequence, replay_trace, run,
                              session_step, trace_to_json_lines)
 from synmpst.terms import (Add, BoolLit, Eq, GlobalAction, IntLit, Mul,
@@ -138,20 +141,24 @@ def test_explore_ring_sound(ring_pf, ring_m):
     assert report.configs_visited > 1
 
 
-def test_explore_flags_stuck_sessions(ring_m):
-    sess = Session((
+def stuck_session():
+    """a sends Foo, b only takes Bar."""
+    return Session((
         ("a", PSend("b", "Foo", UnitLit(), PEnd())),
         ("b", PRecv("a", (RecvBranch("Bar", "x", UNIT, PEnd()),))),
     ))
-    report = explore(ring_m, sess, 10)
+
+
+def test_explore_flags_stuck_sessions(ring_m):
+    report = explore(ring_m, stuck_session(), 10)
     assert report.stuck_non_final
     assert not report.sound_at_depth
 
 
-def test_explore_flags_preservation_breaks(ring_pf, ring_m):
-    # Bob silently upgrades App to AppThenGet: the communication itself
-    # rendezvouses, but the classifier has no such transition.
-    sess = Session((
+def upgrading_bob_session():
+    """Bob silently upgrades App to AppThenGet: the communication itself
+    rendezvouses, but the Ring classifier has no such transition."""
+    return Session((
         ("a", PSend("b", "App", NatLit(5),
                     PRecv("c", (RecvBranch("Val", "z", NAT, PEnd()),)))),
         ("b", PRecv("a", (RecvBranch("App", "x", NAT,
@@ -159,7 +166,10 @@ def test_explore_flags_preservation_breaks(ring_pf, ring_m):
         ("c", PRecv("b", (RecvBranch("AppThenGet", "y", NAT,
                     PSend("a", "Val", Mul(VarRef("y"), NatLit(2)), PEnd())),))),
     ))
-    report = explore(ring_m, sess, 20)
+
+
+def test_explore_flags_preservation_breaks(ring_m):
+    report = explore(ring_m, upgrading_bob_session(), 20)
     assert report.preservation_breaks
     broken_session, action, state = report.preservation_breaks[0]
     assert action == CommAction(act("b", "c", "AppThenGet", NAT))
@@ -172,15 +182,19 @@ def _forked_mlts():
                 frozenset({(0, go, 1), (0, go, 2), (1, fwd, 3), (2, alt, 3)}))
 
 
-def test_explore_follows_every_target_of_a_nondeterministic_classifier():
-    m = _forked_mlts()
-    assert m.targets(0, act("a", "b", "Go")) == (1, 2)
-    sess = Session((
+def _forked_session():
+    """a->b:Go, then b->c:Fwd: allowed after one target of Go only."""
+    return Session((
         ("a", PSend("b", "Go", UnitLit(), PEnd())),
         ("b", PRecv("a", (RecvBranch("Go", "x", UNIT, PSend("c", "Fwd", UnitLit(), PEnd())),))),
         ("c", PRecv("b", (RecvBranch("Fwd", "y", UNIT, PEnd()),))),
     ))
-    report = explore(m, sess, 10)
+
+
+def test_explore_follows_every_target_of_a_nondeterministic_classifier():
+    m = _forked_mlts()
+    assert m.targets(0, act("a", "b", "Go")) == (1, 2)
+    report = explore(m, _forked_session(), 10)
     # Only the second target of Go breaks preservation.
     assert [(action, state) for _, action, state in report.preservation_breaks] == \
         [(CommAction(act("b", "c", "Fwd")), 2)]
@@ -202,9 +216,13 @@ def test_check_trace_tracks_every_state_a_trace_can_be_in():
     assert check_trace(m, trace("Fwd")) == 0
 
 
+def spinner_session():
+    """a unfolds and re-enters its loop forever without communicating."""
+    return Session((("a", PRec("X", PIf(BoolLit(True), PVar("X"), PEnd()))),))
+
+
 def test_explore_flags_tau_cycles(ring_m):
-    spinner = Session((("a", PRec("X", PIf(BoolLit(True), PVar("X"), PEnd()))),))
-    report = explore(ring_m, spinner, 30)
+    report = explore(ring_m, spinner_session(), 30)
     assert report.tau_cycles
     assert not report.sound_at_depth
 
@@ -254,3 +272,181 @@ def test_if_false_branch_and_let_flow():
     assert kinds == ["TauAction", "TauAction", "CommAction"]
     assert trace.actions[-1].action == act("a", "b", "V", NAT)
     assert all(isinstance(p, PEnd) for _, p in trace.terminal.entries)
+
+
+# ---------------------------------------------------------------------------
+# explore against a naive reference explorer, and what one call computes
+
+
+def naive_explore(m, sess, max_depth):
+    """The lockstep BFS of `explore` without its memo: every configuration is
+    stepped afresh, and every successor is rebuilt and validated by Session."""
+    cap = 20
+    initial = (sess, m.initial)
+    visited, frontier = {initial}, [initial]
+    stuck, breaks, tau_edges = [], [], {}
+    depth = 0
+    while frontier and depth < max_depth:
+        next_frontier = []
+        for config in frontier:
+            current, state = config
+            steps = [(action, Session(after.entries)) for action, after in session_step(current)]
+            if not steps:
+                if any(not isinstance(p, PEnd) for _, p in current.entries) and len(stuck) < cap:
+                    stuck.append(current)
+                continue
+            for action, after in steps:
+                if isinstance(action, CommAction):
+                    targets = m.targets(state, action.action)
+                    if not targets:
+                        if len(breaks) < cap:
+                            breaks.append((current, action, state))
+                        continue
+                else:
+                    targets = (state,)
+                    tau_edges.setdefault(config, []).append((after, state))
+                for t in targets:
+                    if (after, t) not in visited:
+                        visited.add((after, t))
+                        next_frontier.append((after, t))
+        frontier = next_frontier
+        if frontier:
+            depth += 1
+    # The cycle search over the internal-step graph is shared, not re-derived.
+    return ExploreReport(len(visited), depth, not frontier, tuple(stuck),
+                         tuple(runtime._tau_cycles(tau_edges)), tuple(breaks))
+
+
+def workers_text(k, looping, wrong=None):
+    """W_k and its processes, written as in corpus/workers.smpst: b_i and c_i
+    unroll one iteration; a_i stops at once or loops on a constant. `wrong`
+    replaces a_0's first payload."""
+    parts, procs = [], []
+    for i in range(k):
+        a, b, c = f"a{i}", f"b{i}", f"c{i}"
+        parts.append(f"mu X . {a} -> {b} {{ Datum(Int) . {b} -> {c}: Datum(Int) . "
+                     f"{c} -> {a}: Result(Int) . X, Stop(Unit) . {b} -> {c}: Stop(Unit) . end }}")
+        first = (wrong if i == 0 and wrong else None)
+        if looping:
+            pa = (f"send {b} Datum({first or '+7'}) . recv {c} {{ Result(x: Int) . rec X . "
+                  f"send {b} Datum(x) . recv {c} {{ Result(y: Int) . X }} }}")
+        else:
+            pa = f"send {b} Stop({first or 'unit'}) . end"
+        pb = (f"recv {a} {{ Datum(x: Int) . send {c} Datum(x) . rec X . recv {a} {{ "
+              f"Datum(x: Int) . send {c} Datum(x) . X, Stop(_: Unit) . send {c} Stop(unit) . end }}, "
+              f"Stop(_: Unit) . send {c} Stop(unit) . end }}")
+        pc = (f"recv {b} {{ Datum(x: Int) . send {a} Result(x) . rec X . recv {b} {{ "
+              f"Datum(x: Int) . send {a} Result(x) . X, Stop(_: Unit) . end }}, "
+              f"Stop(_: Unit) . end }}")
+        procs += [(a, pa), (b, pb), (c, pc)]
+    term = parts[-1]
+    for part in reversed(parts[:-1]):
+        term = f"par {{ {part} || {term} }}"
+    lines = [f"global G = {term};"]
+    lines += [f"process P_{r} at {r} = {body};" for r, body in procs]
+    lines.append("session S of G = { " + ", ".join(f"{r}: P_{r}" for r, _ in procs) + " };")
+    return "\n".join(lines) + "\n"
+
+
+def workers_case(k, looping, wrong=None):
+    pf = parse_file(workers_text(k, looping, wrong), f"w{k}.smpst")
+    return build_lts(pf.globals["G"]).to_mlts(), pf.session("S")
+
+
+def corpus_cases():
+    for path in sorted(CORPUS.glob("*.smpst")):
+        pf = load_protocol(path.name, allow_unresolved=True)
+        for name, decl in pf.sessions.items():
+            if decl.global_name in pf.globals:
+                m = build_lts(pf.globals[decl.global_name]).to_mlts()
+            else:
+                doc = CORPUS / f"{path.stem}.mlts.json"
+                m = parse_mlts(doc.read_text(), str(doc))
+            yield pytest.param(m, pf.session(name), 200, id=name)
+
+
+# a's loop re-enters the same send, which meets two different receives of b:
+# a memo that forgot the receiving process would reuse the first meeting.
+REUSED_SEND = """
+global G = a -> b: M(Nat) . mu X . a -> b: M(Nat) . b -> c: Sum(Nat) . X;
+process A at a = rec X . send b M(1) . X;
+process B at b = recv a { M(x: Nat) . rec Y . recv a { M(z: Nat) . send c Sum(x + z) . Y } };
+process C at c = rec Z . recv b { Sum(s: Nat) . Z };
+session S of G = { a: A, b: B, c: C };
+"""
+
+
+def explore_cases():
+    yield from corpus_cases()
+    for k in (1, 2):
+        for looping in (False, True):
+            mode = "loop" if looping else "stop"
+            yield pytest.param(*workers_case(k, looping), 200, id=f"w{k}_{mode}")
+    yield pytest.param(*workers_case(2, True), 5, id="w2_loop_bounded")
+    pf = parse_file(REUSED_SEND, "reused_send.smpst")
+    yield pytest.param(build_lts(pf.globals["G"]).to_mlts(), pf.session("S"), 50, id="reused_send")
+    yield pytest.param(*workers_case(2, True, '"x"'), 200, id="w2_loop_payload_mutant")
+    yield pytest.param(*workers_case(2, False, "true"), 200, id="w2_stop_payload_mutant")
+    ring = build_lts(load_protocol("ring.smpst").globals["Ring"]).to_mlts()
+    yield pytest.param(ring, stuck_session(), 10, id="stuck")
+    yield pytest.param(ring, upgrading_bob_session(), 20, id="preservation_break")
+    yield pytest.param(ring, spinner_session(), 30, id="tau_cycle")
+    yield pytest.param(_forked_mlts(), _forked_session(), 10, id="nondeterministic")
+
+
+@pytest.mark.parametrize("m, sess, depth", explore_cases())
+def test_explore_agrees_with_a_naive_explorer(m, sess, depth):
+    assert explore(m, sess, depth) == naive_explore(m, sess, depth)
+
+
+def test_explore_computes_each_local_move_once(monkeypatch):
+    m, sess = workers_case(3, True)
+    calls = Counter()
+    stepped = []
+
+    def counted(name, fn, record=None):
+        def wrapper(*args):
+            calls[name] += 1
+            if record is not None:
+                record.append(args[0])
+            return fn(*args)
+        monkeypatch.setattr(runtime, name, wrapper)
+
+    counted("substitute_process_rec", runtime.substitute_process_rec)
+    counted("substitute_process_val", runtime.substitute_process_val)
+    counted("session_step", runtime.session_step, stepped)
+    report = explore(m, sess, 200)
+    assert report.complete and report.sound_at_depth
+
+    # One session_step per expanded configuration; all are expanded here.
+    assert calls["session_step"] == report.configs_visited == 4096
+    # One rec unfolding per distinct rec process, one value substitution per
+    # distinct let process or rendezvous (sender role, send, receive).
+    procs = {p for s in stepped for _, p in s.entries}
+    rendezvous = set()
+    for s in stepped:
+        heads = dict(s.entries)
+        for role, p in s.entries:
+            partner = heads.get(p.to) if isinstance(p, PSend) else None
+            if isinstance(partner, PRecv) and partner.from_ == role:
+                rendezvous.add((role, p, partner))
+    assert calls["substitute_process_rec"] == sum(isinstance(p, PRec) for p in procs) == 9
+    assert calls["substitute_process_val"] == \
+        sum(isinstance(p, PLet) for p in procs) + len(rendezvous) == 15
+
+
+def test_session_step_memo_leaves_steps_unchanged():
+    m, sess = workers_case(2, True)
+    memo = {}
+    frontier, seen = [sess], {sess}
+    while frontier:
+        current = frontier.pop()
+        fresh = session_step(current)
+        assert session_step(current, memo) == fresh
+        assert session_step(current, memo) == fresh
+        for _, after in fresh:
+            assert after == Session(after.entries)
+            if after not in seen:
+                seen.add(after)
+                frontier.append(after)
+    assert memo
