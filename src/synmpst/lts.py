@@ -143,8 +143,12 @@ class GlobalLts:
     transitions: frozenset[tuple[int, GlobalAction, int]]
 
     def to_mlts(self) -> Mlts:
-        """The classifier, each state labelled with its pretty-printed term."""
-        return Mlts(0, tuple(pretty_global(t) for t in self.terms), self.transitions)
+        """The classifier, each state labelled with its pretty-printed term.
+
+        States share most of their subterms, so each distinct subterm is
+        rendered once."""
+        memo: dict[GlobalType, str] = {}
+        return Mlts(0, tuple(pretty_global(t, memo) for t in self.terms), self.transitions)
 
 
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,

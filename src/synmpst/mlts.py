@@ -21,11 +21,79 @@ DIAMOND = "Diamond"
 
 _WITNESS_CAP = 50
 
+# Each condition's message, filled with the witness's states, then its actions.
+_MESSAGES = {
+    SENDER_DETERMINACY: "state {0} offers {1} and {2}",
+    DETERMINISM: "state {0} reaches both {1} and {2} via {3}",
+    CONDITIONAL_COMMUTATIVITY: "{3} then {4} from state {0} cannot be reordered",
+    DIAMOND: "{3} and {4} from state {0} do not close a diamond",
+}
+
 
 def receiver_disjoint(a1: GlobalAction, a2: GlobalAction) -> bool:
     """Neither action's receiver is involved in the other action."""
     return (a1.receiver not in (a2.sender, a2.receiver)
             and a2.receiver not in (a1.sender, a1.receiver))
+
+
+class _Table:
+    """The transitions of an Mlts, integer-coded once.
+
+    Actions are numbered in GlobalAction.sort_key order, so a state's row,
+    sorted by (action id, target), is in transitions_from order. Each action
+    carries a bitmask of its two roles, the bit of its receiver and the bit of
+    its ordered (sender, receiver) pair, so role tests are integer tests.
+    """
+
+    def __init__(self, n: int, transitions: frozenset[tuple[int, GlobalAction, int]]) -> None:
+        # Number actions as first met, then renumber them in sort order: each
+        # transition's action is hashed once.
+        seen: dict[GlobalAction, int] = {}
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for src, action, dst in transitions:
+            rows[src].append((seen.setdefault(action, len(seen)), dst))
+        self.actions = tuple(sorted(seen, key=GlobalAction.sort_key))
+        self.ids = {a: x for x, a in enumerate(self.actions)}
+        renumber = [self.ids[a] for a in seen]
+        self.rows = tuple(tuple(sorted((renumber[x], dst) for x, dst in row)) for row in rows)
+
+        # Bits for roles and for ordered pairs, in order of first occurrence.
+        self.bits: dict[str, int] = {}
+        pairs: dict[tuple[str, str], int] = {}
+        for a in self.actions:
+            for r in (a.sender, a.receiver):
+                self.bits.setdefault(r, 1 << len(self.bits))
+            pairs.setdefault((a.sender, a.receiver), 1 << len(pairs))
+        self.role_mask = tuple(self.bits[a.sender] | self.bits[a.receiver] for a in self.actions)
+        self.receiver_bit = tuple(self.bits[a.receiver] for a in self.actions)
+        self.pair_bit = tuple(pairs[a.sender, a.receiver] for a in self.actions)
+
+    # -- views derived from the rows on first use ---------------------------
+
+    @cached_property
+    def targets(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Per state, each action id it offers and that action's targets, ascending."""
+        out = []
+        for row in self.rows:
+            by_action: dict[int, tuple[int, ...]] = {}
+            for x, dst in row:
+                by_action[x] = by_action.get(x, ()) + (dst,)
+            out.append(by_action)
+        return tuple(out)
+
+    @cached_property
+    def outgoing(self) -> tuple[tuple[tuple[GlobalAction, int], ...], ...]:
+        """Per state, its row with each action id replaced by the action."""
+        actions = self.actions
+        return tuple(tuple((actions[x], dst) for x, dst in row) for row in self.rows)
+
+    @cached_property
+    def covers(self) -> tuple[frozenset[frozenset[str]], ...]:
+        """Per state, each set of at most two roles that one of its transitions
+        has among its participants; the empty set if it has a transition."""
+        sets = [(a.roles, frozenset((a.sender,)), frozenset((a.receiver,))) for a in self.actions]
+        return tuple(frozenset([frozenset(), *(r for x, _ in row for r in sets[x])]) if row
+                     else frozenset() for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -48,57 +116,27 @@ class Mlts:
         return range(len(self.labels))
 
     @cached_property
-    def _outgoing(self) -> tuple[tuple[tuple[GlobalAction, int], ...], ...]:
-        table: list[list[tuple[GlobalAction, int]]] = [[] for _ in self.labels]
-        for src, action, dst in self.transitions:
-            table[src].append((action, dst))
-        return tuple(tuple(sorted(row, key=lambda at: (at[0].sort_key(), at[1])))
-                     for row in table)
+    def _table(self) -> _Table:
+        return _Table(len(self.labels), self.transitions)
 
     def transitions_from(self, s: int) -> tuple[tuple[GlobalAction, int], ...]:
         """The (action, target) transitions of s, ordered by action, then target."""
-        return self._outgoing[s]
-
-    @cached_property
-    def _targets(self) -> dict[tuple[int, GlobalAction], tuple[int, ...]]:
-        table: dict[tuple[int, GlobalAction], tuple[int, ...]] = {}
-        for src, row in enumerate(self._outgoing):
-            for action, dst in row:
-                table[src, action] = table.get((src, action), ()) + (dst,)
-        return table
+        return self._table.outgoing[s]
 
     def targets(self, s: int, action: GlobalAction) -> tuple[int, ...]:
         """States that action leads to from s, ascending; () if s does not offer it."""
-        return self._targets.get((s, action), ())
+        table = self._table
+        return table.targets[s].get(table.ids.get(action), ())
 
     @cached_property
     def actions(self) -> frozenset[GlobalAction]:
-        return frozenset(a for _, a, _ in self.transitions)
+        return frozenset(self._table.actions)
 
     @cached_property
     def roles(self) -> frozenset[str]:
-        out: set[str] = set()
-        for a in self.actions:
-            out |= {a.sender, a.receiver}
-        return frozenset(out)
+        return frozenset(self._table.bits)
 
-    # -- reachability index: tables built on first use, answers memoised ----
-
-    @cached_property
-    def _succ(self) -> tuple[tuple[tuple[str, str, int], ...], ...]:
-        """Per state, the (sender, receiver, target) of each transition."""
-        return tuple(tuple((a.sender, a.receiver, t) for a, t in row) for row in self._outgoing)
-
-    @cached_property
-    def _involved(self) -> tuple[frozenset[str], ...]:
-        """Per state, the roles that take part in some transition."""
-        return tuple(frozenset(r for snd, rcv, _ in row for r in (snd, rcv)) for row in self._succ)
-
-    @cached_property
-    def _pairs(self) -> tuple[frozenset[frozenset[str]], ...]:
-        """Per state, the {sender, receiver} pair of each transition."""
-        return tuple(frozenset(frozenset((snd, rcv)) for snd, rcv, _ in row)
-                     for row in self._succ)
+    # -- reachability index: answers memoised over the coded table ----------
 
     @cached_property
     def _reach(self) -> dict[tuple[int, frozenset[str], bool], tuple[int, ...]]:
@@ -106,10 +144,7 @@ class Mlts:
 
     def involves(self, s: int, roles: frozenset[str]) -> bool:
         """Some transition of s has every one of roles among its participants."""
-        if len(roles) == 2:
-            return roles in self._pairs[s]
-        involved = self._involved[s]
-        return len(roles) < 2 and bool(involved) and roles <= involved
+        return roles in self._table.covers[s]
 
     def reach(self, s: int, banned: frozenset[str], strong: bool = False) -> tuple[int, ...]:
         """States reachable from s, ascending, by transitions without the
@@ -121,7 +156,9 @@ class Mlts:
         return hit
 
     def _walk(self, s: int, banned: frozenset[str], strong: bool) -> tuple[int, ...]:
-        memo, succ = self._reach, self._succ
+        memo, table = self._reach, self._table
+        rows, masks = table.rows, table.role_mask
+        avoid = sum(table.bits.get(r, 0) for r in banned)
         seen = {s}
         frontier = [s]
         while frontier:
@@ -133,15 +170,21 @@ class Mlts:
                 continue
             if strong and self.involves(state, banned):
                 continue
-            for snd, rcv, t in succ[state]:
-                if t not in seen and snd not in banned and rcv not in banned:
+            for x, t in rows[state]:
+                if t not in seen and not masks[x] & avoid:
                     seen.add(t)
                     frontier.append(t)
         return tuple(sorted(seen))
 
     def active_roles(self, s: int) -> frozenset[str]:
         """Roles that take part in some transition reachable from s."""
-        return frozenset().union(*(self._involved[t] for t in self.reach(s, frozenset())))
+        table = self._table
+        rows, masks = table.rows, table.role_mask
+        seen = 0
+        for t in self.reach(s, frozenset()):
+            for x, _ in rows[t]:
+                seen |= masks[x]
+        return frozenset(r for r, bit in table.bits.items() if seen & bit)
 
 
 @dataclass(frozen=True)
@@ -164,62 +207,72 @@ class WbViolation:
 def check_well_behaved(m: Mlts) -> list[WbViolation]:
     """Exhaustively check all four conditions; empty list means well-behaved.
 
-    Violations are data, not failures; collection is capped per condition to
-    keep reports readable.
+    Violations are data, not failures. They are listed state by state in id
+    order; at each state, SenderDeterminacy, Determinism,
+    ConditionalCommutativity, then Diamond, with pairs of transitions taken in
+    transitions_from order. Only the first _WITNESS_CAP violations of each
+    condition are listed, to keep reports readable.
+
+    The conditions run on the integer-coded table: role tests are bit tests
+    and every probe is keyed on an action id, so GlobalAction objects are
+    touched only to emit a witness.
     """
+    table = m._table
+    actions, mask, rcv, pair = table.actions, table.role_mask, table.receiver_bit, table.pair_bit
+    rows, targets = table.rows, table.targets
     out: list[WbViolation] = []
-    counts = {SENDER_DETERMINACY: 0, DETERMINISM: 0, CONDITIONAL_COMMUTATIVITY: 0, DIAMOND: 0}
+    counts = dict.fromkeys(_MESSAGES, 0)
 
-    def emit(v: WbViolation) -> None:
-        if counts[v.condition] < _WITNESS_CAP:
-            out.append(v)
-        counts[v.condition] += 1
+    def emit(condition: str, states: tuple[int, ...], ids: tuple[int, ...]) -> None:
+        if counts[condition] < _WITNESS_CAP:
+            witness = tuple(actions[x] for x in ids)
+            message = _MESSAGES[condition].format(*states, *witness)
+            out.append(WbViolation(condition, states, witness, message))
+        counts[condition] += 1
 
+    # An action is never receiver-disjoint from itself and always shares its
+    # own pair, so neither loop over co-initial pairs needs to skip x1 == x2.
     for s in m.states:
-        outgoing = m.transitions_from(s)
+        row, here = rows[s], targets[s]
 
         # 1. Sender determinacy: co-initial actions are receiver-disjoint or
         # share both sender and receiver.
-        for i, (a1, _) in enumerate(outgoing):
-            for a2, _ in outgoing[i + 1:]:
-                if a1 == a2:
-                    continue
-                same_pair = a1.sender == a2.sender and a1.receiver == a2.receiver
-                if not (receiver_disjoint(a1, a2) or same_pair):
-                    emit(WbViolation(
-                        SENDER_DETERMINACY, (s,), (a1, a2),
-                        f"state {s} offers {a1} and {a2}"))
+        for i, (x1, _) in enumerate(row):
+            for x2, _ in row[i + 1:]:
+                if pair[x1] != pair[x2] and (rcv[x1] & mask[x2] or rcv[x2] & mask[x1]):
+                    emit(SENDER_DETERMINACY, (s,), (x1, x2))
 
         # 2. Determinism: one action, one target.
-        for a in dict.fromkeys(a for a, _ in outgoing):
-            dsts = m.targets(s, a)
+        for x, dsts in here.items():
             if len(dsts) > 1:
-                d1, d2 = dsts[:2]
-                emit(WbViolation(
-                    DETERMINISM, (s, d1, d2), (a,),
-                    f"state {s} reaches both {d1} and {d2} via {a}"))
+                emit(DETERMINISM, (s, *dsts[:2]), (x,))
 
         # 3. Conditional commutativity: an already-available communication
         # stays reorderable with an unrelated one taken first.
-        pairs_at_s = {(b.sender, b.receiver) for b, _ in outgoing}
-        for a1, s1 in outgoing:
-            for a2, s_prime in m.transitions_from(s1):
-                if a2.roles & a1.roles or (a2.sender, a2.receiver) not in pairs_at_s:
+        pairs_at_s = 0
+        for x, _ in row:
+            pairs_at_s |= pair[x]
+        for x1, s1 in row:
+            for x2, s_prime in rows[s1]:
+                if mask[x2] & mask[x1] or not pair[x2] & pairs_at_s:
                     continue
-                if not any(s_prime in m.targets(mid, a1) for mid in m.targets(s, a2)):
-                    emit(WbViolation(
-                        CONDITIONAL_COMMUTATIVITY, (s, s1, s_prime), (a1, a2),
-                        f"{a1} then {a2} from state {s} cannot be reordered"))
+                for mid in here.get(x2, ()):
+                    if s_prime in targets[mid].get(x1, ()):
+                        break
+                else:
+                    emit(CONDITIONAL_COMMUTATIVITY, (s, s1, s_prime), (x1, x2))
 
         # 4. Diamond: receiver-disjoint co-initial actions converge.
-        for i, (a1, s1) in enumerate(outgoing):
-            for a2, s2 in outgoing[i + 1:]:
-                if a1 == a2 or not receiver_disjoint(a1, a2):
+        for i, (x1, s1) in enumerate(row):
+            for x2, s2 in row[i + 1:]:
+                if rcv[x1] & mask[x2] or rcv[x2] & mask[x1]:
                     continue
-                if not any(t1 in m.targets(s2, a1) for t1 in m.targets(s1, a2)):
-                    emit(WbViolation(
-                        DIAMOND, (s, s1, s2), (a1, a2),
-                        f"{a1} and {a2} from state {s} do not close a diamond"))
+                closing = targets[s2].get(x1, ())
+                for t1 in targets[s1].get(x2, ()):
+                    if t1 in closing:
+                        break
+                else:
+                    emit(DIAMOND, (s, s1, s2), (x1, x2))
 
     return out
 

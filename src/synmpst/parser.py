@@ -520,8 +520,10 @@ def pretty_file(pf: ProtocolFile) -> str:
 
 def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]:
     """Load an explicit MLTS from its JSON schema; diagnostics on failure."""
-    lines = text.count("\n") + 1
-    whole = SourceSpan(path, 1, 1, lines, max(len(text.splitlines()[-1]), 1) if text else 1)
+    # The span ends after the last character: on the line after a final
+    # newline, at its first column.
+    last_line_start = text.rfind("\n") + 1
+    whole = SourceSpan(path, 1, 1, text.count("\n") + 1, max(len(text) - last_line_start, 1))
 
     def fail(message: str) -> list[Diagnostic]:
         return [Diagnostic(message, whole)]

@@ -89,7 +89,7 @@ class GlobalAction:
         return (self.sender, self.receiver, self.label, self.payload.value)
 
     def __str__(self) -> str:
-        return f"{self.sender}->{self.receiver}:{self.label}({self.payload})"
+        return f"{self.sender}->{self.receiver}:{self.label}({self.payload.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -726,21 +726,33 @@ def _pretty_expr(e: Expr, level: int) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def pretty_global(g: GlobalType) -> str:
+def pretty_global(g: GlobalType, memo: Optional[dict[GlobalType, str]] = None) -> str:
+    """Concrete syntax of g; memo, when given, holds the text of subterms
+    already rendered and gains the ones rendered now."""
+    if memo is not None:
+        text = memo.get(g)
+        if text is not None:
+            return text
     if isinstance(g, GEnd):
-        return "end"
-    if isinstance(g, GVar):
-        return g.var
-    if isinstance(g, GMu):
-        return f"mu {g.var} . {pretty_global(g.body)}"
-    if isinstance(g, GPar):
-        return f"par {{ {pretty_global(g.left)} || {pretty_global(g.right)} }}"
-    if isinstance(g, GComm):
-        branches = [f"{b.label}({b.payload}) . {pretty_global(b.cont)}" for b in g.branches]
+        text = "end"
+    elif isinstance(g, GVar):
+        text = g.var
+    elif isinstance(g, GMu):
+        text = f"mu {g.var} . {pretty_global(g.body, memo)}"
+    elif isinstance(g, GPar):
+        text = f"par {{ {pretty_global(g.left, memo)} || {pretty_global(g.right, memo)} }}"
+    elif isinstance(g, GComm):
+        branches = [f"{b.label}({b.payload.value}) . {pretty_global(b.cont, memo)}"
+                    for b in g.branches]
         if len(branches) == 1:
-            return f"{g.sender} -> {g.receiver}: {branches[0]}"
-        return f"{g.sender} -> {g.receiver} {{ {', '.join(branches)} }}"
-    raise TypeError(f"not a global type: {g!r}")
+            text = f"{g.sender} -> {g.receiver}: {branches[0]}"
+        else:
+            text = f"{g.sender} -> {g.receiver} {{ {', '.join(branches)} }}"
+    else:
+        raise TypeError(f"not a global type: {g!r}")
+    if memo is not None:
+        memo[g] = text
+    return text
 
 
 def pretty_process(p: Process) -> str:

@@ -250,6 +250,14 @@ def test_parse_mlts_rejects_bad_json_and_schema():
         assert isinstance(out, list) and '"initial" must name a declared state' in out[0].message
 
 
+def test_parse_mlts_whole_file_span_ends_after_the_last_character():
+    body = '{"states": [],\n "initial": "x"}'
+    for text, end in ((body, (2, 16)), (body + "\n", (3, 1))):
+        (d,) = parse_mlts(text, "m.json")
+        span = d.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 1, *end), text
+
+
 def test_keywords_are_reserved():
     out = parse_file("global end = end;")
     assert isinstance(out, list)
