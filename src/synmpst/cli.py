@@ -194,7 +194,7 @@ def cmd_lts(args) -> int:
         if args.format == "dot":
             chunks.append(lts_to_dot(m))
         elif args.format == "json":
-            chunks.append(lts_to_json(m))
+            chunks.append(lts_to_json(m) + "\n")
         else:
             lines = [f"global {name}: {len(m.labels)} states, {len(m.transitions)} transitions"]
             for s in m.states:

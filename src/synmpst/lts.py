@@ -1,15 +1,18 @@
 """Operational semantics of global types and the derived transition relations.
 
 A well-formed, closed, guarded global type reaches finitely many distinct
-terms under the transition rules; build_lts materialises that state space with
-structural equality as state identity.
+terms under the transition rules; build_lts materialises that state space.
+Under a top-level par a state is a vector of operand states, one per operand
+of the par spine, each operand's states being its structurally distinct
+terms; any other type is a single operand.
 """
 from __future__ import annotations
 
 import itertools
-import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional, Union
 
 from .mlts import Mlts
 from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
@@ -151,45 +154,161 @@ class GlobalLts:
         return Mlts(0, tuple(pretty_global(t, memo) for t in self.terms), self.transitions)
 
 
+# A state's row: its successors as (action sort key, action, target id), in
+# _ordered_steps order.
+_Row = list[tuple[tuple[str, str, str, str], GlobalAction, int]]
+# Called before a new state is numbered, with the id it would get and its
+# term; raises to refuse it.
+_Admit = Callable[[int, GlobalType], None]
+
+
+class _Operand:
+    """The terms reachable from one global type, numbered as first met, with
+    the rows of the states explored so far."""
+
+    def __init__(self, g: GlobalType, stepper: _Stepper) -> None:
+        self.terms: list[GlobalType] = [g]
+        self._index: dict[GlobalType, int] = {g: 0}
+        self._rows: list[Optional[_Row]] = [None]
+        self._stepper = stepper
+
+    def row(self, i: int, admit: Optional[_Admit] = None) -> _Row:
+        """State i's row; the first call steps its term and numbers its new
+        targets in row order, each after admit accepts it."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = []
+            terms, index = self.terms, self._index
+            for action, target in _ordered_steps(self._stepper.step(terms[i])):
+                j = index.get(target)
+                if j is None:
+                    j = len(terms)
+                    if admit:
+                        admit(j, target)
+                    index[target] = j
+                    terms.append(target)
+                    self._rows.append(None)
+                row.append((action.sort_key(), action, j))
+        return row
+
+
+class _Product:
+    """The reachable states of a top-level par: vectors of operand state ids,
+    numbered as first met, each with its term.
+
+    The step rule of par interleaves its operands' moves, so a state's
+    successors are its operands' moves, each changing one component. A
+    state's term is built over the par spine of the initial term from shared
+    sub-products, so state 0's term is that term itself."""
+
+    def __init__(self, g: GPar, stepper: _Stepper) -> None:
+        self._ops: list[_Operand] = []
+        self._spine = self._split(g, stepper)
+        initial = (0,) * len(self._ops)
+        self._vectors = [initial]
+        self._index = {initial: 0}
+        self.terms: list[GlobalType] = [g]
+        self._rendered: dict[GlobalType, str] = {}
+
+    def _split(self, g: GlobalType, stepper: _Stepper):
+        """g's par spine: an operand's position, or (lo, hi, left, right,
+        sub-products keyed by the slice [lo:hi] of a vector)."""
+        if not isinstance(g, GPar):
+            self._ops.append(_Operand(g, stepper))
+            return len(self._ops) - 1
+        lo = len(self._ops)
+        left, right = self._split(g.left, stepper), self._split(g.right, stepper)
+        hi = len(self._ops)
+        return (lo, hi, left, right, {(0,) * (hi - lo): g})
+
+    def _term(self, v: tuple[int, ...], node=None) -> GlobalType:
+        node = self._spine if node is None else node
+        if isinstance(node, int):
+            return self._ops[node].terms[v[node]]
+        lo, hi, left, right, built = node
+        term = built.get(v[lo:hi])
+        if term is None:
+            term = built[v[lo:hi]] = GPar(self._term(v, left), self._term(v, right))
+        return term
+
+    def row(self, i: int, admit: _Admit) -> _Row:
+        """State i's row, its new targets numbered in row order, each after
+        admit accepts it."""
+        v = self._vectors[i]
+        moves = []
+        for k, op in enumerate(self._ops):
+            op_row = op.row(v[k])
+            if op_row:
+                head, tail = v[:k], v[k + 1:]
+                moves += [(key, action, head + (j,) + tail) for key, action, j in op_row]
+        if len(set(map(_sort_key, moves))) < len(moves):
+            # Same-action targets go in the order of their rendered terms, as
+            # _canonical puts them.
+            moves.sort(key=lambda move: (move[0], pretty_global(self._term(move[2]), self._rendered)))
+        else:
+            moves.sort(key=_sort_key)
+        row = []
+        vectors, index = self._vectors, self._index
+        for key, action, w in moves:
+            j = index.get(w)
+            if j is None:
+                j, term = len(vectors), self._term(w)
+                admit(j, term)
+                index[w] = j
+                vectors.append(w)
+                self.terms.append(term)
+            row.append((key, action, j))
+        return row
+
+
+_sort_key = operator.itemgetter(0)
+
+
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
               max_term_nodes: Optional[int] = None) -> GlobalLts:
-    """Breadth-first closure of step from g, deduplicating structurally equal terms.
+    """Breadth-first closure of step from g.
+
+    A term whose top is a par is the product of the operands on its par
+    spine: each operand is explored on its own, as far as the product needs
+    it, and a state is identified by the vector of its operands' state ids.
+    Any other term is a product of one operand, whose states are its
+    structurally distinct terms; a par under a prefix or a mu is part of
+    those terms. Either way states are numbered, and successors ordered, as a
+    breadth-first search over whole terms: by action, then same-action
+    targets by their rendered terms.
 
     max_term_nodes bounds the size of individual state terms; out-of-order
     reordering can make a recursive type's closure unbounded, in which case
     state terms grow without limit on the way to the cap.
     """
     stepper = _Stepper()
-    terms: list[GlobalType] = [g]
-    index: dict[GlobalType, int] = {g: 0}
+    space = _Product(g, stepper) if isinstance(g, GPar) else _Operand(g, stepper)
     transitions: set[tuple[int, GlobalAction, int]] = set()
-    frontier = [0]
+    # States are explored in id order, so a BFS level is a range of ids.
+    level_start, level_end, sid = 0, 1, 0
+
+    def admit(tid: int, term: GlobalType) -> None:
+        if tid >= cap:
+            raise CapExceededError(cap, tid - level_start)
+        if max_term_nodes and term_nodes(term, max_term_nodes) > max_term_nodes:
+            raise CapExceededError(
+                cap, tid,
+                f"a state term grew past {max_term_nodes} nodes after "
+                f"{tid} states; the reordering closure is likely unbounded")
+
     try:
-        while frontier:
-            next_frontier: list[int] = []
-            for sid in frontier:
-                for action, target in _ordered_steps(stepper.step(terms[sid])):
-                    tid = index.get(target)
-                    if tid is None:
-                        if len(terms) >= cap:
-                            raise CapExceededError(cap, len(frontier) + len(next_frontier))
-                        if max_term_nodes and term_nodes(target, max_term_nodes) > max_term_nodes:
-                            raise CapExceededError(
-                                cap, len(terms),
-                                f"a state term grew past {max_term_nodes} nodes after "
-                                f"{len(terms)} states; the reordering closure is likely unbounded")
-                        tid = len(terms)
-                        terms.append(target)
-                        index[target] = tid
-                        next_frontier.append(tid)
-                    transitions.add((sid, action, tid))
-            frontier = next_frontier
+        while sid < len(space.terms):
+            if sid == level_end:
+                level_start, level_end = level_end, len(space.terms)
+            for _, action, tid in space.row(sid, admit):
+                transitions.add((sid, action, tid))
+            sid += 1
     except RecursionError:
         raise CapExceededError(
-            cap, len(terms),
-            f"state terms grew beyond comparable depth after {len(terms)} states; "
+            cap, len(space.terms),
+            f"state terms grew beyond comparable depth after {len(space.terms)} states; "
             "the type's reordering closure is likely unbounded") from None
-    return GlobalLts(tuple(terms), frozenset(transitions))
+    return GlobalLts(tuple(space.terms), frozenset(transitions))
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +379,35 @@ def lts_to_dot(m: Mlts) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_block(items: list[str], brackets: str) -> str:
+    """A top-level member's array or object whose items are already indented,
+    laid out as json.dumps(..., indent=2) lays it out."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n  " + brackets[1]
+
+
 def lts_to_json(lts: Union[Mlts, GlobalLts]) -> str:
-    """JSON in the MLTS input schema, with the state labels in an extra field."""
+    """JSON in the MLTS input schema, with the state labels in an extra field.
+
+    The text is exactly json.dumps(doc, indent=2) of that document, written
+    directly: with an indent, json.dumps runs its pure-Python encoder."""
     m = lts if isinstance(lts, Mlts) else lts.to_mlts()
-    doc = {
-        "states": [f"s{s}" for s in m.states],
-        "initial": f"s{m.initial}",
-        "transitions": [
-            {"from": f"s{src}", "to": f"s{dst}", "sender": a.sender,
-             "receiver": a.receiver, "label": a.label, "payload": a.payload.value}
-            for src in m.states for a, dst in m.transitions_from(src)
-        ],
-        "terms": {f"s{s}": m.labels[s] for s in m.states},
-    }
-    return json.dumps(doc, indent=2)
+    quote = encode_basestring_ascii
+    # The part of a transition object after its "to" member, once per action.
+    tails: dict[GlobalAction, str] = {}
+    transitions = []
+    for src in m.states:
+        for a, dst in m.transitions_from(src):
+            tail = tails.get(a)
+            if tail is None:
+                tail = tails[a] = (
+                    f',\n      "sender": {quote(a.sender)},\n      "receiver": {quote(a.receiver)}'
+                    f',\n      "label": {quote(a.label)},\n      "payload": {quote(a.payload.value)}'
+                    "\n    }")
+            transitions.append(f'    {{\n      "from": "s{src}",\n      "to": "s{dst}"{tail}')
+    states = [f'    "s{s}"' for s in m.states]
+    terms = [f'    "s{s}": {quote(label)}' for s, label in enumerate(m.labels)]
+    return (f'{{\n  "states": {_json_block(states, "[]")},\n  "initial": "s{m.initial}",\n'
+            f'  "transitions": {_json_block(transitions, "[]")},\n'
+            f'  "terms": {_json_block(terms, "{}")}\n}}')

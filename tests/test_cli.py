@@ -98,6 +98,29 @@ def test_lts_json_output(capsys):
     assert len(doc["transitions"]) == 6
 
 
+def test_lts_json_ends_each_document_with_a_newline(capsys, tmp_path):
+    from synmpst.lts import build_lts, lts_to_json
+    from synmpst.parser import parse_file
+    text = ("global G = a -> b: M(Unit) . end;\n"
+            "global H = par { c -> d: N(Nat) . end || e -> f: O(Int) . end };\n")
+    path = tmp_path / "two.smpst"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "lts", str(path), "--format", "json")
+    assert code == 0
+    decoder = json.JSONDecoder()
+    first, end = decoder.raw_decode(out)
+    assert out[end] == "\n"
+    second, end = decoder.raw_decode(out, end + 1)
+    assert out[end:] == "\n"
+    assert (len(first["states"]), len(second["states"])) == (2, 4)
+    pf = parse_file(text, str(path))
+    exports = [lts_to_json(build_lts(pf.globals[name]).to_mlts()) for name in ("G", "H")]
+    assert out == exports[0] + "\n" + exports[1] + "\n"
+    code, out, _ = run_cli(capsys, "lts", str(path), "--global", "H", "--format", "json")
+    assert code == 0
+    assert out == exports[1] + "\n"
+
+
 def test_lts_unknown_global(capsys):
     code, _, err = run_cli(capsys, "lts", RING, "--global", "Nope")
     assert code == 2

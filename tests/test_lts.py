@@ -1,16 +1,21 @@
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_protocol
-from synmpst.lts import (CapExceededError, build_lts, enabled, active,
+from conftest import CORPUS, load_protocol
+from synmpst import generate
+from synmpst.lts import (DEFAULT_STATE_CAP, CapExceededError, GlobalLts,
+                         _ordered_steps, _Stepper, build_lts, enabled, active,
                          lts_to_dot, lts_to_json, reach_strong_without,
                          reach_without, step, step_with, step_without,
                          strong_step_without)
-from synmpst.parser import parse_mlts
+from synmpst.mlts import Mlts
+from synmpst.parser import parse_file, parse_mlts
 from synmpst.terms import (GBranch, GComm, GEnd, GlobalAction, GMu, GPar,
-                           GVar, PayloadType, pretty_global)
+                           GVar, PayloadType, pretty_global, term_nodes)
 
 NAT = PayloadType.NAT
 UNIT = PayloadType.UNIT
@@ -242,3 +247,202 @@ def test_json_export_round_trips_as_mlts(ring_lts, ring_m):
     assert not isinstance(reparsed, list)
     assert len(reparsed.labels) == len(ring_m.labels)
     assert len(reparsed.transitions) == len(ring_m.transitions)
+
+
+# -- the product search against a breadth-first search over whole terms ------
+
+
+def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
+    """build_lts as a breadth-first search over whole terms, with structural
+    equality as state identity: what the product search must reproduce."""
+    stepper = _Stepper()
+    terms = [g]
+    index = {g: 0}
+    transitions = set()
+    frontier = [0]
+    try:
+        while frontier:
+            next_frontier = []
+            for sid in frontier:
+                for action, target in _ordered_steps(stepper.step(terms[sid])):
+                    tid = index.get(target)
+                    if tid is None:
+                        if len(terms) >= cap:
+                            raise CapExceededError(cap, len(frontier) + len(next_frontier))
+                        if max_term_nodes and term_nodes(target, max_term_nodes) > max_term_nodes:
+                            raise CapExceededError(
+                                cap, len(terms),
+                                f"a state term grew past {max_term_nodes} nodes after "
+                                f"{len(terms)} states; the reordering closure is likely unbounded")
+                        tid = len(terms)
+                        terms.append(target)
+                        index[target] = tid
+                        next_frontier.append(tid)
+                    transitions.add((sid, action, tid))
+            frontier = next_frontier
+    except RecursionError:
+        raise CapExceededError(
+            cap, len(terms),
+            f"state terms grew beyond comparable depth after {len(terms)} states; "
+            "the type's reordering closure is likely unbounded") from None
+    return GlobalLts(tuple(terms), frozenset(transitions))
+
+
+def workers_global(k):
+    """W_k: the par of k disjoint five-state workers loops."""
+    parts = [f"mu X . a{i} -> b{i} {{ Datum(Int) . b{i} -> c{i}: Datum(Int) . "
+             f"c{i} -> a{i}: Result(Int) . X, Stop(Unit) . b{i} -> c{i}: Stop(Unit) . end }}"
+             for i in range(k)]
+    return nest_par(parts)
+
+
+def pairs_global(n):
+    """P_n: the par of n one-shot pairs."""
+    return nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)])
+
+
+def nest_par(parts):
+    term = parts[-1]
+    for part in reversed(parts[:-1]):
+        term = f"par {{ {part} || {term} }}"
+    return term
+
+
+def parse_global(text):
+    return parse_file(f"global G = {text};", "g.smpst").globals["G"]
+
+
+def corpus_globals():
+    for path in sorted(CORPUS.glob("*.smpst")):
+        for name, g in load_protocol(path.name, allow_unresolved=True).globals.items():
+            yield f"{path.stem}.{name}", g
+
+
+LOOP = "mu X . a -> b { L(Nat) . b -> a: Back(Unit) . X, S(Unit) . end }"
+ONE_SHOT = "c -> d { M(Int) . end, N(Bool) . d -> c: Ack(Unit) . end }"
+OUT_OF_ORDER = "e -> f: F(Unit) . g -> h: G(Unit) . end"
+
+
+def product_cases():
+    """Terms whose LTS the product search must build as the reference does."""
+    cases = list(corpus_globals())
+    cases += [(f"W_{k}", parse_global(workers_global(k))) for k in range(1, 5)]
+    cases += [(f"P_{n}", parse_global(pairs_global(n))) for n in range(1, 9)]
+    cases += [
+        ("nested-par", parse_global(f"par {{ par {{ {LOOP} || {ONE_SHOT} }} || {OUT_OF_ORDER} }}")),
+        ("par-under-prefix", parse_global(f"x -> y: Go(Unit) . par {{ {LOOP} || {ONE_SHOT} }}")),
+        ("par-under-unused-mu", parse_global(f"mu Z . par {{ {ONE_SHOT} || {OUT_OF_ORDER} }}")),
+    ]
+    # Built directly, past well-formedness: operands that share an action,
+    # one of them twice from the same state, and operands looping on one
+    # shared action, whose moves reach the same product state.
+    shared = comm("a", "b", "M", UNIT, GEnd())
+    cases.append(("shared-action", GPar(
+        GComm("a", "b", (GBranch("M", UNIT, GEnd()), GBranch("M", UNIT, shared))),
+        GPar(comm("a", "b", "M", UNIT, comm("c", "d", "N", UNIT, GEnd())), shared))))
+    cases.append(("shared-self-loop", GPar(
+        GMu("X", comm("a", "b", "M", UNIT, GVar("X"))),
+        GMu("Y", comm("a", "b", "M", UNIT, GVar("Y"))))))
+    # A non-deterministic operand whose targets render as "X" and "X\t": in
+    # the product "X " sorts after "X\t", against the operands' own order.
+    forked = GComm("a", "b", (GBranch("M", UNIT, GVar("X")), GBranch("M", UNIT, GVar("X\t"))))
+    other = comm("c", "d", "N", UNIT, GEnd())
+    cases += [("nondeterministic-left", GPar(forked, other)),
+              ("nondeterministic-right", GPar(other, forked)),
+              ("nondeterministic-alone", forked)]
+    return cases
+
+
+PRODUCT_CASES = product_cases()
+
+
+def outcome(build, g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
+    try:
+        lts = build(g, cap, max_term_nodes)
+    except CapExceededError as e:
+        return ("refused", str(e), e.cap, e.frontier)
+    m = lts.to_mlts()
+    return (lts.terms, lts.transitions, m.labels, lts_to_json(m))
+
+
+@pytest.mark.parametrize("name,g", PRODUCT_CASES, ids=[name for name, _ in PRODUCT_CASES])
+def test_build_lts_agrees_with_the_reference(name, g):
+    expected = outcome(_reference_build_lts, g)
+    assert outcome(build_lts, g) == expected
+    assert expected[0] != "refused"
+    for cap in (1, 3, 7, 50):
+        assert outcome(build_lts, g, cap) == outcome(_reference_build_lts, g, cap), cap
+    # A node limit just below the largest term after the initial one, which
+    # is never measured, refuses that state.
+    largest = max((term_nodes(t, 10**9) for t in expected[0][1:]), default=1)
+    for limit in (largest - 1, largest):
+        assert (outcome(build_lts, g, max_term_nodes=limit)
+                == outcome(_reference_build_lts, g, max_term_nodes=limit)), limit
+
+
+def test_product_ties_follow_the_rendered_product_terms():
+    (_, g), = [case for case in PRODUCT_CASES if case[0] == "nondeterministic-left"]
+    lts = build_lts(g)
+    first, second = [pretty_global(lts.terms[t]) for s, _, t in sorted(lts.transitions,
+                                                                       key=lambda tr: tr[2])
+                     if s == 0 and t != 0][:2]
+    assert (first, second) == ("par { X\t || c -> d: N(Unit) . end }",
+                               "par { X || c -> d: N(Unit) . end }")
+
+
+def test_probe_verdicts_agree_with_the_reference():
+    """random_global_type keeps a candidate iff its probe is not refused.
+
+    Where a refusal comes from the recursion-depth guard, its state count
+    depends on the caller's stack depth, and the two searches step operands at
+    different depths; only the verdict is compared then."""
+    kinds = set()
+    for seed in range(500):
+        g = generate._candidate(random.Random(seed), 6, ("a", "b", "c", "d"), 3)
+        probe = (generate.PROBE_CAP, generate._PROBE_TERM_NODES)
+        got, expected = outcome(build_lts, g, *probe), outcome(_reference_build_lts, g, *probe)
+        assert (got[0] == "refused") == (expected[0] == "refused"), seed
+        if not any("comparable depth" in str(o[1]) for o in (got, expected)):
+            assert got == expected, seed
+        kinds.add((isinstance(g, GPar), got[0] == "refused"))
+    # Kept and refused candidates occur, and top-level pars among the kept.
+    assert kinds >= {(False, False), (False, True), (True, False)}
+
+
+def test_build_lts_steps_each_operand_state_once(monkeypatch):
+    stepped = []
+    real = _Stepper.step
+
+    def counted(self, g):
+        stepped.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(_Stepper, "step", counted)
+    w4 = parse_global(workers_global(4))
+    assert len(build_lts(w4).terms) == 625
+    assert len(stepped) == 20
+    stepped.clear()
+    _reference_build_lts(w4)
+    assert len(stepped) == 625
+
+
+def test_json_export_is_json_dumps_of_the_document():
+    cases = [build_lts(g).to_mlts() for _, g in corpus_globals()]
+    cases.append(build_lts(parse_global(workers_global(3))).to_mlts())
+    cases.append(parse_mlts((CORPUS / "diamond.mlts.json").read_text(), "diamond.mlts.json"))
+    cases.append(Mlts(0, ("end",), frozenset()))
+    odd = GlobalAction('r"1', "r\\2", "Lä\"bel\\", PayloadType.STR)
+    cases.append(Mlts(0, ('s "0" \\ λ', "naïve\n☃"),
+                      frozenset({(0, odd, 1), (1, act("r\\2", 'r"1', "Back"), 0)})))
+    for m in cases:
+        doc = {
+            "states": [f"s{s}" for s in m.states],
+            "initial": f"s{m.initial}",
+            "transitions": [
+                {"from": f"s{src}", "to": f"s{dst}", "sender": a.sender, "receiver": a.receiver,
+                 "label": a.label, "payload": a.payload.value}
+                for src in m.states for a, dst in m.transitions_from(src)],
+            "terms": {f"s{s}": m.labels[s] for s in m.states},
+        }
+        assert lts_to_json(m) == json.dumps(doc, indent=2)
+    assert '"transitions": []' in lts_to_json(Mlts(0, ("end",), frozenset()))
