@@ -19,7 +19,7 @@ from .mlts import (Mlts, WbViolation, check_well_behaved, receiver_disjoint,
                    replay_violation)
 from .typecheck import (Checker, Derivation, TcError, render_derivation,
                         type_expr, type_process, type_session, try_skip)
-from .runtime import (CommAction, EvalError, ExploreReport, TauAction, Trace,
+from .runtime import (EvalError, ExploreReport, TauAction, Trace,
                       check_trace, eval_expr, explore, replay_trace, run,
                       session_step)
 from .parser import (Diagnostic, ProtocolFile, parse_file, parse_mlts,

@@ -18,10 +18,10 @@ from typing import Callable, Optional, Sequence
 
 from .lts import (DEFAULT_STATE_CAP, CapExceededError, build_lts, lts_to_dot,
                   lts_to_json)
-from .mlts import Mlts, check_well_behaved, violations_to_json
+from .mlts import Mlts, check_well_behaved
 from .parser import ProtocolFile, parse_file, parse_mlts
 from .runtime import explore, render_message_sequence, run, trace_to_json_lines
-from .terms import Session, roles_of
+from .terms import Session
 from .typecheck import type_session
 
 EXIT_OK = 0
@@ -100,9 +100,9 @@ def _global_mlts(pf: ProtocolFile, name: str, cap: int) -> Mlts:
 
 
 def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unverified: bool
-          ) -> tuple[ProtocolFile, Callable[[str], tuple[Mlts, frozenset[str]]]]:
+          ) -> tuple[ProtocolFile, Callable[[str], Mlts]]:
     """Parse a protocol file; return it with the function that gives a
-    session's classifier and the roles the session must implement.
+    session's classifier.
 
     An --mlts file overrides every declared global; a `// classifier:`
     directive serves only the sessions whose global is not declared. An
@@ -115,7 +115,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
     pf = _parse_protocol(path, text, allow_unresolved=external is not None)
 
     @functools.cache
-    def resolve(name: Optional[str]) -> tuple[Mlts, frozenset[str]]:
+    def resolve(name: Optional[str]) -> Mlts:
         """The classifier of a declared global, or of the external MLTS for None."""
         if name is None:
             violations = [] if allow_unverified else check_well_behaved(external)
@@ -123,10 +123,10 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
                 raise CliFailure(
                     f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
                     "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
-            return external, frozenset()
-        return _global_mlts(pf, name, cap), roles_of(pf.globals[name])
+            return external
+        return _global_mlts(pf, name, cap)
 
-    def classifier(session: str) -> tuple[Mlts, frozenset[str]]:
+    def classifier(session: str) -> Mlts:
         name = pf.sessions[session].global_name
         uses_external = external is not None and (mlts_path is not None or name not in pf.globals)
         return resolve(None if uses_external else name)
@@ -137,15 +137,17 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
 def _check_file(path: str, text: str, cap: int, mlts_path: Optional[str],
                 allow_unverified: bool) -> tuple[list[dict], list[tuple[Session, Mlts]]]:
     """Type every session of the file; return the reports and each session
-    with its classifier."""
+    with its classifier. A file that declares no session is an error."""
     pf, classifier = _load(path, text, cap, mlts_path, allow_unverified)
+    if not pf.sessions:
+        raise CliFailure(f"{path}: no sessions declared")
     reports: list[dict] = []
     checked: list[tuple[Session, Mlts]] = []
     for name in pf.sessions:
-        m, required = classifier(name)
+        m = classifier(name)
         sess = pf.session(name)
         checked.append((sess, m))
-        outcome = type_session(m, sess, required)
+        outcome = type_session(m, sess)
         if isinstance(outcome, dict):
             reports.append({"session": name, "verdict": "well-typed",
                             "roles": sorted(outcome), "errors": []})
@@ -224,7 +226,7 @@ def cmd_wb(args) -> int:
     if args.format == "json":
         doc = [{"subject": subject,
                 "well_behaved": not violations,
-                "violations": json.loads(violations_to_json(violations))}
+                "violations": [v.to_json_obj() for v in violations]}
                for subject, violations in results]
         print(json.dumps(doc, indent=2))
     else:
@@ -261,8 +263,7 @@ def cmd_explore(args) -> int:
     pf, classifier = _load(args.file, _read(args.file), cap, args.mlts,
                            args.allow_unverified)
     name, sess = _pick_session(pf, args.session)
-    m, _ = classifier(name)
-    report = explore(m, sess, args.max_depth)
+    report = explore(classifier(name), sess, args.max_depth)
     doc = {
         "session": name,
         "configs_visited": report.configs_visited,
@@ -310,7 +311,7 @@ def cmd_bench(args) -> int:
         expectation = expect_match.group(1) if expect_match else "well-typed"
         try:
             reports, checked = _check_file(str(path), text, cap, None, False)
-            verdicts = {r["verdict"] for r in reports} or {"well-typed"}
+            verdicts = {r["verdict"] for r in reports}
             passed = verdicts == {expectation}
             detail = f"{len(reports)} session(s) {'/'.join(sorted(verdicts))}, expected {expectation}"
             if passed and expectation == "well-typed":
@@ -323,7 +324,9 @@ def cmd_bench(args) -> int:
         elapsed = time.perf_counter() - started
         rows.append((path.name, "check+explore", f"{detail} ({elapsed:.2f}s)", passed))
 
-    width = max((len(r[0]) for r in rows), default=4)
+    if not rows:
+        raise CliFailure(f"{args.dir}: no *.smpst or *.mlts.json files to bench")
+    width = max(len(r[0]) for r in rows)
     all_pass = all(r[3] for r in rows)
     for name, kind, detail, passed in rows:
         print(f"{'PASS' if passed else 'FAIL'}  {name:<{width}}  {kind:<14} {detail}")

@@ -7,10 +7,8 @@ type checker never sees where a classifier came from.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .terms import GlobalAction
 
@@ -203,6 +201,14 @@ class WbViolation:
     def __str__(self) -> str:
         return f"{self.condition}: {self.message}"
 
+    def to_json_obj(self) -> dict:
+        return {
+            "condition": self.condition,
+            "states": list(self.states),
+            "actions": [str(a) for a in self.actions],
+            "message": self.message,
+        }
+
 
 def check_well_behaved(m: Mlts) -> list[WbViolation]:
     """Exhaustively check all four conditions; empty list means well-behaved.
@@ -304,13 +310,3 @@ def replay_violation(m: Mlts, v: WbViolation) -> bool:
             return False
         return not any(t1 in m.targets(s2, a1) for t1 in m.targets(s1, a2))
     raise ValueError(f"unknown condition {v.condition}")
-
-
-def violations_to_json(violations: Iterable[WbViolation]) -> str:
-    records = [{
-        "condition": v.condition,
-        "states": list(v.states),
-        "actions": [str(a) for a in v.actions],
-        "message": v.message,
-    } for v in violations]
-    return json.dumps(records, indent=2, sort_keys=False)

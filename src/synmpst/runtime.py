@@ -39,30 +39,24 @@ def eval_expr(e: Expr) -> Expr:
 
 
 @dataclass(frozen=True)
-class CommAction:
-    """A synchronous communication, labelled like the matching global action."""
-    action: GlobalAction
-
-    def sort_key(self):
-        return (0,) + self.action.sort_key()
-
-    def __str__(self) -> str:
-        return str(self.action)
-
-
-@dataclass(frozen=True)
 class TauAction:
     """An internal step (let, if, or recursion unfolding) of one role."""
     role: Role
-
-    def sort_key(self):
-        return (1, self.role)
 
     def __str__(self) -> str:
         return f"tau@{self.role}"
 
 
-RuntimeAction = Union[CommAction, TauAction]
+# A synchronous communication is labelled by the global action it matches.
+RuntimeAction = Union[GlobalAction, TauAction]
+
+
+def _step_order(step: tuple[RuntimeAction, Session]):
+    """Communications first, by action; then internal steps, by role."""
+    action = step[0]
+    if isinstance(action, TauAction):
+        return (1, action.role)
+    return (0,) + action.sort_key()
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ def session_step(sess: Session, memo: Optional[dict] = None
             after = _cached(memo, proc, _tau_successor, proc)
             if after is not None:
                 steps.append((TauAction(role), sess.with_processes({role: after})))
-    steps.sort(key=lambda step: step[0].sort_key())
+    steps.sort(key=_step_order)
     return steps
 
 
@@ -142,7 +136,7 @@ def _rendezvous(role: Role, send: PSend, recv: PRecv):
         v = eval_expr(send.payload)
     except EvalError:
         return None
-    action = CommAction(GlobalAction(role, send.to, send.label, branch.annot))
+    action = GlobalAction(role, send.to, send.label, branch.annot)
     return action, send.cont, substitute_process_val(branch.cont, branch.binder, v)
 
 
@@ -183,7 +177,7 @@ def check_trace(m: Mlts, trace: Trace) -> Optional[int]:
     for i, action in enumerate(trace.actions):
         if isinstance(action, TauAction):
             continue
-        states = {t for s in states for t in m.targets(s, action.action)}
+        states = {t for s in states for t in m.targets(s, action)}
         if not states:
             return i
     return None
@@ -237,15 +231,15 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
                         stuck.append(current)
                 continue
             for action, after in steps:
-                if isinstance(action, CommAction):
-                    targets = m.targets(state, action.action)
+                if isinstance(action, TauAction):
+                    targets = (state,)
+                    tau_edges.setdefault(config, []).append((after, state))
+                else:
+                    targets = m.targets(state, action)
                     if not targets:
                         if len(breaks) < _WITNESS_CAP:
                             breaks.append((current, action, state))
                         continue
-                else:
-                    targets = (state,)
-                    tau_edges.setdefault(config, []).append((after, state))
                 for t in targets:
                     succ = (after, t)
                     if succ not in visited:
@@ -301,12 +295,11 @@ def _tau_cycles(edges: dict) -> list[tuple]:
 def trace_to_json_lines(trace: Trace) -> str:
     lines = []
     for action in trace.actions:
-        if isinstance(action, CommAction):
-            a = action.action
-            lines.append(json.dumps({"kind": "comm", "from": a.sender, "to": a.receiver,
-                                     "label": a.label, "payload": a.payload.value}))
-        else:
+        if isinstance(action, TauAction):
             lines.append(json.dumps({"kind": "tau", "role": action.role}))
+        else:
+            lines.append(json.dumps({"kind": "comm", "from": action.sender, "to": action.receiver,
+                                     "label": action.label, "payload": action.payload.value}))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -314,9 +307,8 @@ def render_message_sequence(trace: Trace) -> str:
     """Plain-text message sequence: one line per action, taus indented."""
     lines = []
     for action in trace.actions:
-        if isinstance(action, CommAction):
-            a = action.action
-            lines.append(f"{a.sender} -> {a.receiver}: {a.label}({a.payload})")
-        else:
+        if isinstance(action, TauAction):
             lines.append(f"  [{action.role}] tau")
+        else:
+            lines.append(f"{action.sender} -> {action.receiver}: {action.label}({action.payload})")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -8,7 +8,7 @@ checking always terminates on a finite classifier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lts import reach_strong_without, reach_without, step_with
@@ -174,9 +174,6 @@ class Checker:
         self.m = m
         self.strict_var = strict_var
         self._memo: dict = {}
-        # The skip premises depend on the role, the partner and the state
-        # only, never on the process or the environments.
-        self._skips: dict[tuple[Role, Role, int], Union[tuple[int, ...], TcError]] = {}
         self._enabling: dict[tuple[Role, int], tuple[int, ...]] = {}
         self._meetings: dict[tuple[int, frozenset[Role]], Optional[int]] = {}
 
@@ -335,24 +332,12 @@ class Checker:
         partner = obj(p)
         if partner is None:
             raise ValueError("skip applies only to send/receive processes")
-        key = (role, partner, s)
-        hit = self._skips.get(key)
-        if hit is None:
-            try:
-                hit = self._skip_premises(role, partner, s)
-            except _Fail as f:
-                hit = f.err
-            self._skips[key] = hit
-        if isinstance(hit, TcError):
-            raise _Fail(replace(hit, span=p.span))
-        return hit
-
-    def _skip_premises(self, role: Role, partner: Role, s: int) -> tuple[int, ...]:
         m = self.m
         if step_with(m, s, (role,)):
             raise _Fail(TcError(
                 SKIP_FAILED, role, s,
-                f"{role} is enabled at state s{s}, so it may not skip", premise=1))
+                f"{role} is enabled at state s{s}, so it may not skip", premise=1,
+                span=p.span))
 
         near_futures = reach_without(m, s, (role,))
         obligations: set[int] = set()
@@ -362,7 +347,7 @@ class Checker:
                 raise _Fail(TcError(
                     SKIP_FAILED, role, s,
                     f"from near future s{n}, no state enabling {role} is strongly reachable",
-                    premise=2))
+                    premise=2, span=p.span))
             obligations.update(targets)
 
         alone, pair = frozenset((role,)), frozenset((role, partner))
@@ -374,7 +359,8 @@ class Checker:
                 raise _Fail(TcError(
                     SKIP_FAILED, role, s,
                     f"a direct {role}/{partner} communication becomes available at s{w} "
-                    f"without either of them acting (near future s{n})", premise=4))
+                    f"without either of them acting (near future s{n})", premise=4,
+                    span=p.span))
 
         return tuple(sorted(obligations))
 
@@ -417,19 +403,14 @@ def try_skip(m: Mlts, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
         return f.err
 
 
-def type_session(m: Mlts, sess: Session, roles_required: frozenset[Role] = frozenset()
-                 ) -> Union[dict[Role, Derivation], list[TcError]]:
+def type_session(m: Mlts, sess: Session) -> Union[dict[Role, Derivation], list[TcError]]:
     """Type every process of a session at the initial state of m.
 
-    Every role in roles_required, and every role active at the initial state,
-    must be implemented. All failures are collected rather than reported
-    one at a time.
+    Every role active at the initial state must be implemented. All failures
+    are collected rather than reported one at a time.
     """
     errors: list[TcError] = []
-    implemented = set(sess.roles)
-    required = set(roles_required)
-    required.update(m.active_roles(m.initial))
-    for missing in sorted(required - implemented):
+    for missing in sorted(m.active_roles(m.initial) - set(sess.roles)):
         errors.append(TcError(
             ROLE_UNIMPLEMENTED, missing, m.initial,
             f"role {missing} occurs in the protocol but is not implemented"))

@@ -16,7 +16,7 @@ from synmpst.mlts import (DIAMOND, SENDER_DETERMINACY, check_well_behaved,
 from synmpst.parser import parse_mlts
 from synmpst.runtime import explore, replay_trace, run
 from synmpst.terms import (GlobalAction, PayloadType, PRec, free_global_vars,
-                           iter_subprocesses, roles_of, substitute_global)
+                           iter_subprocesses, substitute_global)
 from synmpst.typecheck import (Derivation, RULE_REC, RULE_VAR, TcError,
                                VAR_STATE_UNREACHABLE, PAYLOAD_MISMATCH,
                                UNEXPECTED_SEND, render_derivation,
@@ -84,12 +84,12 @@ def test_criterion_04_negative_fixtures():
                                ("ring_badaction.smpst", "RingBadAction", UNEXPECTED_SEND)):
         pf = load_protocol(fname)
         m = build_lts(pf.globals["Ring"]).to_mlts()
-        out = type_session(m, pf.session(sname), roles_of(pf.globals["Ring"]))
+        out = type_session(m, pf.session(sname))
         assert isinstance(out, list) and [e.kind for e in out] == [kind], fname
     pf = load_protocol("confusion.smpst")
     m = build_lts(pf.globals["Confusion"]).to_mlts()
     for sname in ("ConfusionFoo", "ConfusionBar"):
-        out = type_session(m, pf.session(sname), roles_of(pf.globals["Confusion"]))
+        out = type_session(m, pf.session(sname))
         assert isinstance(out, list) and out, sname
         assert all(isinstance(e, TcError) and e.role == "c" for e in out)
     report(4, "wrong payload/action give PayloadMismatch/UnexpectedSend; "
@@ -170,7 +170,7 @@ def test_criterion_08_lasso_relaxation(lasso_pf, lasso_lts):
 def test_criterion_09_diamond_general_case(diamond_m):
     assert check_well_behaved(diamond_m) == []
     pf = load_protocol("diamond.smpst", allow_unresolved=True)
-    out = type_session(diamond_m, pf.session("DiamondDemo"), frozenset())
+    out = type_session(diamond_m, pf.session("DiamondDemo"))
     assert isinstance(out, dict) and set(out) == {"a", "b", "c"}
     report(9, "Diamond MLTS from JSON is well-behaved and all three "
               "processes type-check against it")
@@ -185,7 +185,7 @@ def test_criterion_10_out_of_order_com2():
     actions_after = {a for a, _ in m.transitions_from(after_first)}
     assert act("a", "b2", "Foo") in actions_after
     assert act("b1", "c", "Bar") in actions_after
-    out = type_session(m, pf.session("Com2Demo"), roles_of(g))
+    out = type_session(m, pf.session("Com2Demo"))
     assert isinstance(out, dict)
     result = explore(m, pf.session("Com2Demo"), 100)
     assert result.sound_at_depth
@@ -265,7 +265,7 @@ def test_criterion_11c_forward_admissibility():
                                 ("workers.smpst", "Workers", "WorkersDemo")):
         pf = load_protocol(fname)
         m = mltss[fname] = build_lts(pf.globals[gname]).to_mlts()
-        out = type_session(m, pf.session(sname), roles_of(pf.globals[gname]))
+        out = type_session(m, pf.session(sname))
         assert isinstance(out, dict)
         for role, derivation in out.items():
             for node in derivation.iter_nodes():
@@ -322,8 +322,7 @@ def test_criterion_11d_trace_replay_determinism():
 
 def test_criterion_11e_checker_determinism(ring_pf, ring_m):
     judgements = []
-    out = type_session(ring_m, ring_pf.session("RingDemo"),
-                       roles_of(ring_pf.globals["Ring"]))
+    out = type_session(ring_m, ring_pf.session("RingDemo"))
     assert isinstance(out, dict)
     for role, derivation in out.items():
         judgements.extend((role, n.term, n.state, n.gamma, n.delta)

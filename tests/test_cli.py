@@ -272,6 +272,38 @@ def test_bench_requires_directory(capsys):
     assert code == 2
 
 
+SESSIONLESS = "global G = a -> b: Ping(Unit) . end;\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_file_without_sessions_is_an_error(capsys, tmp_path, fmt):
+    path = tmp_path / "nosessions.smpst"
+    path.write_text(SESSIONLESS)
+    code, out, err = run_cli(capsys, "check", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"synmpst: error: {path}: no sessions declared\n"
+
+
+def test_bench_row_without_sessions_fails(capsys, tmp_path):
+    shutil.copy(RING, tmp_path)
+    (tmp_path / "nosessions.smpst").write_text(SESSIONLESS + "// expect: well-typed\n")
+    code, out, _ = run_cli(capsys, "bench", str(tmp_path))
+    assert code == 1
+    assert "FAIL  nosessions.smpst" in out
+    assert "no sessions declared" in out
+    assert "PASS  ring.smpst" in out
+    assert "SOME ROWS FAILED (2 rows)" in out
+
+
+def test_bench_without_inputs_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("no protocols here\n")
+    code, out, err = run_cli(capsys, "bench", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("synmpst: error: ") and str(tmp_path) in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["explore", RING, "--max-depth", "0"], "--max-depth"),
     (["explore", RING, "--max-depth", "-1"], "--max-depth"),

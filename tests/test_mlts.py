@@ -1,4 +1,3 @@
-import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,7 @@ from synmpst.lts import build_lts
 from synmpst.mlts import (CONDITIONAL_COMMUTATIVITY, DETERMINISM, DIAMOND,
                           SENDER_DETERMINACY, Mlts,
                           check_well_behaved, receiver_disjoint,
-                          replay_violation, violations_to_json)
+                          replay_violation)
 from synmpst.terms import GEnd, GlobalAction, PayloadType, pretty_global
 
 UNIT = PayloadType.UNIT
@@ -195,7 +194,7 @@ def test_reachable_restriction_preserves_verdict(ring_m):
 
 def test_violations_serialise_to_json():
     m = sender_determinacy_fixture()
-    doc = json.loads(violations_to_json(check_well_behaved(m)))
+    doc = [v.to_json_obj() for v in check_well_behaved(m)]
     assert doc[0]["condition"] == SENDER_DETERMINACY
     assert doc[0]["states"] == [0]
     assert len(doc[0]["actions"]) == 2

@@ -8,7 +8,7 @@ from synmpst import runtime
 from synmpst.lts import build_lts
 from synmpst.mlts import Mlts
 from synmpst.parser import parse_file, parse_mlts
-from synmpst.runtime import (CommAction, EvalError, ExploreReport, TauAction,
+from synmpst.runtime import (EvalError, ExploreReport, TauAction,
                              Trace, check_trace, eval_expr, explore,
                              render_message_sequence, replay_trace, run,
                              session_step, trace_to_json_lines)
@@ -49,7 +49,7 @@ def test_ring_initial_has_single_rendezvous(ring_pf):
     steps = session_step(sess)
     assert len(steps) == 1
     action, after = steps[0]
-    assert action == CommAction(act("a", "b", "AppThenGet", NAT))
+    assert action == act("a", "b", "AppThenGet", NAT)
     # the payload value reached Bob
     bob = dict(after.entries)["b"]
     assert isinstance(bob, PSend) and bob.payload == Add(NatLit(5), NatLit(1))
@@ -88,7 +88,7 @@ def test_run_ring_matches_push_mode(ring_pf, ring_m):
     sess = ring_pf.session("RingDemo")
     for seed in (0, 1, 42):
         trace = run(sess, seed, 100)
-        comms = [a.action for a in trace.actions if isinstance(a, CommAction)]
+        comms = [a for a in trace.actions if isinstance(a, GlobalAction)]
         assert comms == [act("a", "b", "AppThenGet", NAT),
                          act("b", "c", "AppThenGet", NAT),
                          act("c", "a", "Val", NAT)]
@@ -106,7 +106,7 @@ def test_run_zero_steps():
 def test_run_twobuyers_seed1_cancels():
     pf = load_protocol("twobuyers.smpst")
     trace = run(pf.session("TwoBuyersDemo"), 1, 100)
-    comms = [a.action for a in trace.actions if isinstance(a, CommAction)]
+    comms = [a for a in trace.actions if isinstance(a, GlobalAction)]
     assert comms == [act("a", "s", "Query", PayloadType.STR),
                      act("s", "a", "Price", PayloadType.INT),
                      act("a", "b", "Cancel", UNIT),
@@ -122,15 +122,15 @@ def test_replay_reproduces_terminal(ring_pf):
 
 def test_check_trace_rejects_wrong_branch(ring_pf, ring_m):
     sess = ring_pf.session("RingDemo")
-    bogus = Trace((CommAction(act("a", "b", "App", NAT)),
-                   CommAction(act("b", "c", "AppThenGet", NAT))), sess)
+    bogus = Trace((act("a", "b", "App", NAT),
+                   act("b", "c", "AppThenGet", NAT)), sess)
     assert check_trace(ring_m, bogus) == 1
     assert check_trace(ring_m, Trace((), sess)) is None
 
 
 def test_check_trace_ignores_taus(ring_m):
     sess = Session((("a", PEnd()),))
-    trace = Trace((TauAction("a"), CommAction(act("a", "b", "AppThenGet", NAT))), sess)
+    trace = Trace((TauAction("a"), act("a", "b", "AppThenGet", NAT)), sess)
     assert check_trace(ring_m, trace) is None
 
 
@@ -172,7 +172,7 @@ def test_explore_flags_preservation_breaks(ring_m):
     report = explore(ring_m, upgrading_bob_session(), 20)
     assert report.preservation_breaks
     broken_session, action, state = report.preservation_breaks[0]
-    assert action == CommAction(act("b", "c", "AppThenGet", NAT))
+    assert action == act("b", "c", "AppThenGet", NAT)
 
 
 def _forked_mlts():
@@ -197,7 +197,7 @@ def test_explore_follows_every_target_of_a_nondeterministic_classifier():
     report = explore(m, _forked_session(), 10)
     # Only the second target of Go breaks preservation.
     assert [(action, state) for _, action, state in report.preservation_breaks] == \
-        [(CommAction(act("b", "c", "Fwd")), 2)]
+        [(act("b", "c", "Fwd"), 2)]
     assert not report.sound_at_depth
     assert report.configs_visited == 4    # s0, both targets of Go, and s3
 
@@ -207,7 +207,7 @@ def test_check_trace_tracks_every_state_a_trace_can_be_in():
     sess = Session((("a", PEnd()),))
 
     def trace(*labels):
-        return Trace(tuple(CommAction(act("a", "b", "Go") if label == "Go" else act("b", "c", label))
+        return Trace(tuple(act("a", "b", "Go") if label == "Go" else act("b", "c", label)
                            for label in labels), sess)
 
     assert check_trace(m, trace("Go", "Fwd")) is None
@@ -269,8 +269,8 @@ def test_if_false_branch_and_let_flow():
     ))
     trace = run(sess, 0, 10)
     kinds = [type(a).__name__ for a in trace.actions]
-    assert kinds == ["TauAction", "TauAction", "CommAction"]
-    assert trace.actions[-1].action == act("a", "b", "V", NAT)
+    assert kinds == ["TauAction", "TauAction", "GlobalAction"]
+    assert trace.actions[-1] == act("a", "b", "V", NAT)
     assert all(isinstance(p, PEnd) for _, p in trace.terminal.entries)
 
 
@@ -296,8 +296,8 @@ def naive_explore(m, sess, max_depth):
                     stuck.append(current)
                 continue
             for action, after in steps:
-                if isinstance(action, CommAction):
-                    targets = m.targets(state, action.action)
+                if isinstance(action, GlobalAction):
+                    targets = m.targets(state, action)
                     if not targets:
                         if len(breaks) < cap:
                             breaks.append((current, action, state))

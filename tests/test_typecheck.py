@@ -4,17 +4,17 @@ import pytest
 
 from conftest import GOLDEN, load_protocol
 from synmpst.lts import build_lts, reach_without
-from synmpst.mlts import Mlts
+from synmpst.mlts import Mlts, check_well_behaved
 from synmpst.terms import (Add, BoolLit, Eq, GlobalAction, NatLit, PayloadType,
                            PEnd, PRec, PRecv, PSend, PVar, RecvBranch, Session,
-                           StrLit, UnitLit, VarRef, roles_of)
+                           StrLit, UnitLit, VarRef)
 from synmpst.typecheck import (EXPR_ILL_TYPED, MISSING_RECV_BRANCH,
                                NOT_TERMINABLE, PAYLOAD_MISMATCH, ROLE_CLASH,
                                ROLE_UNIMPLEMENTED, RULE_END, RULE_IF, RULE_LET,
                                RULE_REC, RULE_RECV, RULE_SEND, RULE_SKIP,
                                RULE_VAR, SKIP_FAILED, UNBOUND_VAR,
                                UNEXPECTED_SEND, VAR_STATE_UNREACHABLE,
-                               Derivation, TcError, render_derivation,
+                               Checker, Derivation, TcError, render_derivation,
                                try_skip, type_expr, type_process, type_session)
 
 NAT = PayloadType.NAT
@@ -173,8 +173,7 @@ def test_structural_and_skip_mutually_exclusive(ring_m):
 
 
 def test_ring_session_well_typed(ring_pf, ring_m):
-    out = type_session(ring_m, ring_pf.session("RingDemo"),
-                       roles_of(ring_pf.globals["Ring"]))
+    out = type_session(ring_m, ring_pf.session("RingDemo"))
     assert isinstance(out, dict)
     assert set(out) == {"a", "b", "c"}
 
@@ -182,7 +181,7 @@ def test_ring_session_well_typed(ring_pf, ring_m):
 def test_ring_session_missing_role(ring_pf, ring_m):
     sess = Session((("a", ring_pf.processes["RingAlice"][1]),
                     ("b", ring_pf.processes["RingBob"][1])))
-    out = type_session(ring_m, sess, roles_of(ring_pf.globals["Ring"]))
+    out = type_session(ring_m, sess)
     assert isinstance(out, list)
     assert any(e.kind == ROLE_UNIMPLEMENTED and e.role == "c" for e in out)
 
@@ -195,14 +194,14 @@ def test_benchmark_sessions_well_typed():
     for fname, gname, sname in cases:
         pf = load_protocol(fname)
         m = build_lts(pf.globals[gname]).to_mlts()
-        out = type_session(m, pf.session(sname), roles_of(pf.globals[gname]))
+        out = type_session(m, pf.session(sname))
         assert isinstance(out, dict), (fname, out)
 
 
 def test_wrong_payload_is_payload_mismatch():
     pf = load_protocol("ring_badpayload.smpst")
     m = build_lts(pf.globals["Ring"]).to_mlts()
-    out = type_session(m, pf.session("RingBadPayload"), roles_of(pf.globals["Ring"]))
+    out = type_session(m, pf.session("RingBadPayload"))
     assert isinstance(out, list)
     assert [e.kind for e in out] == [PAYLOAD_MISMATCH]
 
@@ -210,7 +209,7 @@ def test_wrong_payload_is_payload_mismatch():
 def test_wrong_action_is_unexpected_send():
     pf = load_protocol("ring_badaction.smpst")
     m = build_lts(pf.globals["Ring"]).to_mlts()
-    out = type_session(m, pf.session("RingBadAction"), roles_of(pf.globals["Ring"]))
+    out = type_session(m, pf.session("RingBadAction"))
     assert isinstance(out, list)
     assert [e.kind for e in out] == [UNEXPECTED_SEND]
 
@@ -218,9 +217,8 @@ def test_wrong_action_is_unexpected_send():
 def test_confusion_candidates_both_fail():
     pf = load_protocol("confusion.smpst")
     m = build_lts(pf.globals["Confusion"]).to_mlts()
-    required = roles_of(pf.globals["Confusion"])
     for sname in ("ConfusionFoo", "ConfusionBar"):
-        out = type_session(m, pf.session(sname), required)
+        out = type_session(m, pf.session(sname))
         assert isinstance(out, list), sname
         assert all(e.role == "c" for e in out)
 
@@ -293,8 +291,7 @@ def test_lasso_strict_var_toggle_fails(lasso_pf, lasso_lts):
 
 def test_lasso_session_well_typed(lasso_pf, lasso_lts):
     m = lasso_lts.to_mlts()
-    out = type_session(m, lasso_pf.session("LassoDemo"),
-                       roles_of(lasso_pf.globals["Lasso"]))
+    out = type_session(m, lasso_pf.session("LassoDemo"))
     assert isinstance(out, dict)
 
 
@@ -308,7 +305,7 @@ def test_var_rule_checks_reachability_direction(lasso_pf, lasso_lts):
 
 def test_diamond_processes_against_json_mlts(diamond_m):
     pf = load_protocol("diamond.smpst", allow_unresolved=True)
-    out = type_session(diamond_m, pf.session("DiamondDemo"), frozenset())
+    out = type_session(diamond_m, pf.session("DiamondDemo"))
     assert isinstance(out, dict)
     assert set(out) == {"a", "b", "c"}
 
@@ -316,24 +313,63 @@ def test_diamond_processes_against_json_mlts(diamond_m):
 def test_com2_session_well_typed():
     pf = load_protocol("com2.smpst")
     m = build_lts(pf.globals["Com2"]).to_mlts()
-    out = type_session(m, pf.session("Com2Demo"), roles_of(pf.globals["Com2"]))
+    out = type_session(m, pf.session("Com2Demo"))
     assert isinstance(out, dict)
 
 
 def test_checker_deterministic(ring_pf, ring_m):
     sess = ring_pf.session("RingDemo")
-    required = roles_of(ring_pf.globals["Ring"])
-    first = type_session(ring_m, sess, required)
+    first = type_session(ring_m, sess)
     for _ in range(5):
-        again = type_session(ring_m, sess, required)
+        again = type_session(ring_m, sess)
         assert again == first
+
+
+def converging_diamonds(n):
+    """e_i --p->q:A|B--> d_i | d'_i --r->p:M--> e_{i+1}, for i < n: 3n+1
+    states, with e_i = 3i, d_i = 3i+1, d'_i = 3i+2 and e_n = 3n."""
+    transitions = set()
+    for i in range(n):
+        e, d, d2, nxt = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        transitions |= {(e, act("p", "q", "A"), d), (e, act("p", "q", "B"), d2),
+                        (d, act("r", "p", "M"), nxt), (d2, act("r", "p", "M"), nxt)}
+    return Mlts(0, tuple(f"s{s}" for s in range(3 * n + 1)), frozenset(transitions))
+
+
+class _Unmemoised(Checker):
+    def _check(self, gamma, delta, role, p, s):
+        return self._apply(gamma, delta, role, p, s)
+
+
+@pytest.mark.parametrize("checker, n, applications", [
+    (Checker, 16, 3 * 16 + 1),
+    (_Unmemoised, 6, 2 ** (6 + 2) - 3),
+])
+def test_judgement_memo_shares_converging_branches(monkeypatch, checker, n, applications):
+    # Both branches of each diamond reach e_{i+1} with the same process, so
+    # the memo decides each (process, state) judgement once: one rule
+    # application per state instead of one per path.
+    m = converging_diamonds(n)
+    assert check_well_behaved(m) == []
+    sends = PEnd()
+    for _ in range(n):
+        sends = PSend("p", "M", UnitLit(), sends)
+    calls = []
+    apply = Checker._apply
+
+    def counted(self, *args):
+        calls.append(args)
+        return apply(self, *args)
+
+    monkeypatch.setattr(Checker, "_apply", counted)
+    assert isinstance(checker(m).check_process("r", sends), Derivation)
+    assert len(calls) == applications
 
 
 def test_forward_admissibility_on_ring(ring_pf, ring_m):
     # a judgement that holds at s keeps holding after transitions without
     # the role (true on recursion-free derivations)
-    out = type_session(ring_m, ring_pf.session("RingDemo"),
-                       roles_of(ring_pf.globals["Ring"]))
+    out = type_session(ring_m, ring_pf.session("RingDemo"))
     assert isinstance(out, dict)
     for role, derivation in out.items():
         for node in derivation.iter_nodes():
