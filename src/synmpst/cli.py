@@ -17,11 +17,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .lts import (DEFAULT_STATE_CAP, CapExceededError, build_lts, lts_to_dot,
-                  lts_to_json)
+                  lts_to_json, par_operands)
 from .mlts import Mlts, check_well_behaved
 from .parser import ProtocolFile, parse_file, parse_mlts
 from .runtime import explore, render_message_sequence, run, trace_to_json_lines
-from .terms import Session
+from .terms import GPar, Session
 from .typecheck import type_session
 
 EXIT_OK = 0
@@ -91,23 +91,30 @@ def _parse_mlts_file(path: str) -> Mlts:
     return result
 
 
-def _global_mlts(pf: ProtocolFile, name: str, cap: int) -> Mlts:
-    """The classifier of a declared global: its LTS, built within the state cap."""
+def _global_mlts(pf: ProtocolFile, name: str, cap: int, product: bool = True
+                 ) -> tuple[Mlts, ...]:
+    """The classifier of a declared global, each LTS built within the state
+    cap: the LTS of the whole type, or with product=False one LTS per operand
+    on its par spine."""
+    g = pf.globals[name]
     try:
-        return build_lts(pf.globals[name], cap).to_mlts()
+        return tuple(build_lts(part, cap).to_mlts()
+                     for part in ((g,) if product else par_operands(g)))
     except CapExceededError as e:
         raise CliFailure(f"{pf.path}: global {name}: {e}")
 
 
 def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unverified: bool
-          ) -> tuple[ProtocolFile, Callable[[str], Mlts]]:
+          ) -> tuple[ProtocolFile, Callable[..., tuple[Mlts, ...]]]:
     """Parse a protocol file; return it with the function that gives a
-    session's classifier.
+    session's classifier as role-disjoint components.
 
     An --mlts file overrides every declared global; a `// classifier:`
     directive serves only the sessions whose global is not declared. An
-    external MLTS must be well-behaved unless allow_unverified is set.
-    Each classifier is built, or gated, once per file.
+    external MLTS must be well-behaved unless allow_unverified is set, and
+    is one component. A declared global has one component per operand on
+    its par spine, or with product=True the one LTS of the whole type, the
+    product of those. Each classifier is built, or gated, once per file.
     """
     directive = _CLASSIFIER_RE.search(text)
     external_path = mlts_path or (directive and str(Path(path).parent / directive.group(1)))
@@ -115,7 +122,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
     pf = _parse_protocol(path, text, allow_unresolved=external is not None)
 
     @functools.cache
-    def resolve(name: Optional[str]) -> Mlts:
+    def resolve(name: Optional[str], product: bool) -> tuple[Mlts, ...]:
         """The classifier of a declared global, or of the external MLTS for None."""
         if name is None:
             violations = [] if allow_unverified else check_well_behaved(external)
@@ -123,45 +130,45 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
                 raise CliFailure(
                     f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
                     "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
-            return external
-        return _global_mlts(pf, name, cap)
+            return (external,)
+        return _global_mlts(pf, name, cap, product)
 
-    def classifier(session: str) -> Mlts:
+    def classifier(session: str, product: bool = False) -> tuple[Mlts, ...]:
         name = pf.sessions[session].global_name
-        uses_external = external is not None and (mlts_path is not None or name not in pf.globals)
-        return resolve(None if uses_external else name)
+        if external is not None and (mlts_path is not None or name not in pf.globals):
+            return resolve(None, True)
+        # Any other global than a par is its own one operand: build it once.
+        return resolve(name, product or not isinstance(pf.globals[name], GPar))
 
     return pf, classifier
 
 
 def _check_file(path: str, text: str, cap: int, mlts_path: Optional[str],
-                allow_unverified: bool) -> tuple[list[dict], list[tuple[Session, Mlts]]]:
-    """Type every session of the file; return the reports and each session
-    with its classifier. A file that declares no session is an error."""
+                allow_unverified: bool
+                ) -> tuple[list[dict], ProtocolFile, Callable[..., tuple[Mlts, ...]]]:
+    """Type every session of the file against its components; return the
+    reports with the file and its classifiers, as _load gives them. A file
+    that declares no session is an error."""
     pf, classifier = _load(path, text, cap, mlts_path, allow_unverified)
     if not pf.sessions:
         raise CliFailure(f"{path}: no sessions declared")
     reports: list[dict] = []
-    checked: list[tuple[Session, Mlts]] = []
     for name in pf.sessions:
-        m = classifier(name)
-        sess = pf.session(name)
-        checked.append((sess, m))
-        outcome = type_session(m, sess)
+        outcome = type_session(classifier(name), pf.session(name))
         if isinstance(outcome, dict):
             reports.append({"session": name, "verdict": "well-typed",
                             "roles": sorted(outcome), "errors": []})
         else:
             reports.append({"session": name, "verdict": "ill-typed", "roles": [],
                             "errors": [e.to_json_obj() for e in outcome]})
-    return reports, checked
+    return reports, pf, classifier
 
 
 def cmd_check(args) -> int:
     cap = _state_cap(args)
     out: list[dict] = []
     for path in args.files:
-        reports, _ = _check_file(path, _read(path), cap, args.mlts, args.allow_unverified)
+        reports, _, _ = _check_file(path, _read(path), cap, args.mlts, args.allow_unverified)
         out.append({"path": path, "sessions": reports})
     ok = all(r["verdict"] == "well-typed" for entry in out for r in entry["sessions"])
     if args.format == "json":
@@ -192,7 +199,7 @@ def cmd_lts(args) -> int:
     for name in names:
         if name not in pf.globals:
             raise CliFailure(f"{args.file}: unknown global {name}")
-        m = _global_mlts(pf, name, cap)
+        (m,) = _global_mlts(pf, name, cap)
         if args.format == "dot":
             chunks.append(lts_to_dot(m))
         elif args.format == "json":
@@ -219,9 +226,11 @@ def cmd_wb(args) -> int:
         pf = _parse_protocol(args.file, _read(args.file))
         if not pf.globals:
             raise CliFailure(f"{args.file}: no global types declared")
+        # The product is well-behaved iff every operand is (see type_session).
         for name in pf.globals:
-            m = _global_mlts(pf, name, cap)
-            results.append((f"{args.file}:{name}", check_well_behaved(m)))
+            violations = [v for m in _global_mlts(pf, name, cap, product=False)
+                          for v in check_well_behaved(m)]
+            results.append((f"{args.file}:{name}", violations))
     any_violation = any(v for _, v in results)
     if args.format == "json":
         doc = [{"subject": subject,
@@ -263,7 +272,8 @@ def cmd_explore(args) -> int:
     pf, classifier = _load(args.file, _read(args.file), cap, args.mlts,
                            args.allow_unverified)
     name, sess = _pick_session(pf, args.session)
-    report = explore(classifier(name), sess, args.max_depth)
+    (m,) = classifier(name, product=True)
+    report = explore(m, sess, args.max_depth)
     doc = {
         "session": name,
         "configs_visited": report.configs_visited,
@@ -310,13 +320,14 @@ def cmd_bench(args) -> int:
         expect_match = _EXPECT_RE.search(text)
         expectation = expect_match.group(1) if expect_match else "well-typed"
         try:
-            reports, checked = _check_file(str(path), text, cap, None, False)
+            reports, pf, classifier = _check_file(str(path), text, cap, None, False)
             verdicts = {r["verdict"] for r in reports}
             passed = verdicts == {expectation}
             detail = f"{len(reports)} session(s) {'/'.join(sorted(verdicts))}, expected {expectation}"
             if passed and expectation == "well-typed":
-                sound = all(explore(m, sess, args.max_depth).sound_at_depth
-                            for sess, m in checked)
+                sound = all(explore(classifier(name, product=True)[0], pf.session(name),
+                                    args.max_depth).sound_at_depth
+                            for name in pf.sessions)
                 passed = sound
                 detail += ", explore " + ("sound" if sound else "UNSOUND")
         except CliFailure as e:

@@ -202,24 +202,23 @@ class _Product:
     sub-products, so state 0's term is that term itself."""
 
     def __init__(self, g: GPar, stepper: _Stepper) -> None:
-        self._ops: list[_Operand] = []
-        self._spine = self._split(g, stepper)
+        self._ops = [_Operand(op, stepper) for op in par_operands(g)]
+        self._spine, _ = self._split(g, 0)
         initial = (0,) * len(self._ops)
         self._vectors = [initial]
         self._index = {initial: 0}
         self.terms: list[GlobalType] = [g]
         self._rendered: dict[GlobalType, str] = {}
 
-    def _split(self, g: GlobalType, stepper: _Stepper):
-        """g's par spine: an operand's position, or (lo, hi, left, right,
-        sub-products keyed by the slice [lo:hi] of a vector)."""
+    def _split(self, g: GlobalType, lo: int):
+        """g's par spine, its operands numbered from lo, and the number after
+        its last: a spine node is an operand's position, or (lo, hi, left,
+        right, sub-products keyed by the slice [lo:hi] of a vector)."""
         if not isinstance(g, GPar):
-            self._ops.append(_Operand(g, stepper))
-            return len(self._ops) - 1
-        lo = len(self._ops)
-        left, right = self._split(g.left, stepper), self._split(g.right, stepper)
-        hi = len(self._ops)
-        return (lo, hi, left, right, {(0,) * (hi - lo): g})
+            return lo, lo + 1
+        left, mid = self._split(g.left, lo)
+        right, hi = self._split(g.right, mid)
+        return (lo, hi, left, right, {(0,) * (hi - lo): g}), hi
 
     def _term(self, v: tuple[int, ...], node=None) -> GlobalType:
         node = self._spine if node is None else node
@@ -262,6 +261,20 @@ class _Product:
 
 
 _sort_key = operator.itemgetter(0)
+
+
+def par_operands(g: GlobalType) -> tuple[GlobalType, ...]:
+    """The operands on g's par spine, left to right; (g,) if its top is no par.
+
+    A par under a prefix or a mu is part of its operand."""
+    out, pending = [], [g]
+    while pending:
+        term = pending.pop()
+        if isinstance(term, GPar):
+            pending += (term.right, term.left)
+        else:
+            out.append(term)
+    return tuple(out)
 
 
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,

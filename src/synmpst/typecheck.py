@@ -9,7 +9,7 @@ checking always terminates on a finite classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .lts import reach_strong_without, reach_without, step_with
 from .mlts import Mlts
@@ -403,23 +403,77 @@ def try_skip(m: Mlts, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
         return f.err
 
 
-def type_session(m: Mlts, sess: Session) -> Union[dict[Role, Derivation], list[TcError]]:
-    """Type every process of a session at the initial state of m.
+def type_session(classifier: Union[Mlts, Sequence[Mlts]], sess: Session
+                 ) -> Union[dict[Role, Derivation], list[TcError]]:
+    """Type every process of a session at the initial state of its classifier.
 
-    Every role active at the initial state must be implemented. All failures
-    are collected rather than reported one at a time.
+    The classifier is one Mlts, or a sequence of components with pairwise
+    disjoint roles that stand for their product, such as the LTSs of the
+    operands on a global type's par spine. Each role is checked against the
+    component whose roles contain it, or against the first component if
+    none does. Every role active at a component's initial state must be
+    implemented. All failures are collected rather than reported one at a
+    time: each unimplemented role in name order, then each failing process
+    in the session's order.
+
+    Checking each component on its own gives the product's verdicts, and
+    each error names the same role; the states it names are ids of the
+    component. A sketch of why, for a role r of component C and a product
+    state v with C-part v_C:
+
+    - No transition of another component involves r, and moving another
+      component leaves v_C as it is. So r is enabled at v iff at v_C, and
+      the transitions r may send or receive on at v are those of v_C, with
+      the other parts of v unchanged.
+    - Reachability without r (premise 2's near futures, ⊢-Var) and strong
+      reachability without r (premise 2's enabling states) from v reach
+      product states whose C-parts are exactly the states C reaches from
+      v_C the same way: the other components move without r, and a strong
+      step is blocked only by r being involved, which is decided by the
+      C-part.
+    - A transition involving r and a partner (premise 4, ⊢-End's first
+      meeting) is a transition of C, so whether one becomes available
+      depends only on the C-parts reached. A partner outside C never meets r.
+    - ⊢-Var asks whether the binding state reaches the use state without
+      r. Along a derivation the other components only advance, by
+      transitions without r, so the other parts of the use state are
+      reached from those of the binding state, and the premise reduces to
+      C's parts.
+    By induction on derivations, every judgement at v holds iff the same
+    judgement holds at v_C in C. A role in no component is never enabled,
+    and every component answers its premises alike, so the first one serves.
+    When several skip obligations fail, the product and C may meet them in
+    another order and so report the first of different kinds;
+    tests/test_compositional.py compares kinds and premises on W_k, P_n,
+    corpus and random inputs and their mutants.
+
+    Well-behavedness splits the same way: co-initial transitions of
+    different components have disjoint roles, so they never break
+    SenderDeterminacy, and they commute, closing ConditionalCommutativity
+    and Diamond. So the product is well-behaved iff every component is.
     """
+    components = (classifier,) if isinstance(classifier, Mlts) else tuple(classifier)
+    if not components:
+        raise ValueError("a classifier needs at least one component")
+    checkers = [Checker(m) for m in components]
+    owner: dict[Role, Checker] = {}
+    for checker in checkers:
+        for role in checker.m.roles:
+            if owner.setdefault(role, checker) is not checker:
+                raise ValueError(f"role {role} occurs in two components")
+
     errors: list[TcError] = []
-    for missing in sorted(m.active_roles(m.initial) - set(sess.roles)):
+    active = {role: m for m in components for role in m.active_roles(m.initial)}
+    for missing in sorted(active.keys() - set(sess.roles)):
+        m = active[missing]
         errors.append(TcError(
             ROLE_UNIMPLEMENTED, missing, m.initial,
             f"role {missing} occurs in the protocol but is not implemented"))
 
-    checker = Checker(m)
     derivations: dict[Role, Derivation] = {}
     for role, proc in sess.entries:
         try:
-            derivations[role] = checker.check_process(role, proc)
+            derivations[role] = owner.get(role, checkers[0]).check_process(role, proc)
         except _Fail as f:
             errors.append(f.err)
     if errors:
