@@ -20,6 +20,26 @@ TOKEN_FRAGMENTS = [
 ]
 
 
+def nest_par(parts):
+    """The right-nested par of the given global type texts."""
+    term = parts[-1]
+    for part in reversed(parts[:-1]):
+        term = f"par {{ {part} || {term} }}"
+    return term
+
+
+def workers_global(k):
+    """W_k: the par of k disjoint five-state workers loops (5^k product states)."""
+    return nest_par([f"mu X . a{i} -> b{i} {{ Datum(Int) . b{i} -> c{i}: Datum(Int) . "
+                     f"c{i} -> a{i}: Result(Int) . X, Stop(Unit) . b{i} -> c{i}: Stop(Unit) . end }}"
+                     for i in range(k)])
+
+
+def pairs_global(n):
+    """P_n: the par of n one-shot pairs."""
+    return nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)])
+
+
 def load_protocol(name: str, *, allow_unresolved: bool = False) -> ProtocolFile:
     path = CORPUS / name
     result = parse_file(path.read_text(), str(path),

@@ -11,7 +11,7 @@ import random
 import pytest
 
 import synmpst.cli
-from conftest import CORPUS, load_protocol
+from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst.cli import main
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts, par_operands
@@ -21,28 +21,14 @@ from synmpst.runtime import explore
 from synmpst.terms import (BoolLit, GEnd, GlobalAction, GMu, GPar, GVar, IntLit,
                            NatLit, PayloadType, PEnd, PRec, PRecv, PSend, PVar,
                            RecvBranch, Session, StrLit, UnitLit, VarRef,
-                           is_message_guarded, roles_of)
+                           is_message_guarded, pretty_global, roles_of)
 from synmpst.typecheck import (EXPR_ILL_TYPED, MISSING_RECV_BRANCH, NOT_TERMINABLE,
                                PAYLOAD_MISMATCH, ROLE_CLASH, ROLE_UNIMPLEMENTED,
                                SKIP_FAILED, UNBOUND_VAR, UNEXPECTED_SEND,
                                VAR_STATE_UNREACHABLE, Checker, type_session)
 
 # ---------------------------------------------------------------------------
-# The W_k and P_n families, written as in corpus/workers.smpst
-
-
-def nest_par(parts):
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = f"par {{ {part} || {term} }}"
-    return term
-
-
-def workers_global(k):
-    """W_k: the par of k disjoint workers loops (5^k product states)."""
-    return nest_par([f"mu X . a{i} -> b{i} {{ Datum(Int) . b{i} -> c{i}: Datum(Int) . "
-                     f"c{i} -> a{i}: Result(Int) . X, Stop(Unit) . b{i} -> c{i}: Stop(Unit) . end }}"
-                     for i in range(k)])
+# Sessions of the W_k and P_n families, written as in corpus/workers.smpst
 
 
 def workers_processes(i, looping):
@@ -81,13 +67,20 @@ def pairs_text(n):
     for i in range(n):
         processes[f"p{i}"] = f"send q{i} M(unit) . end"
         processes[f"q{i}"] = f"recv p{i} {{ M(_: Unit) . end }}"
-    return session_text(nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)]), processes)
+    return session_text(pairs_global(n), processes)
 
 
 def parsed(text):
     pf = parse_file(text)
     assert not isinstance(pf, list) and not pf.diagnostics, pf
     return pf.globals["G"], pf.session("S")
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def mutant_cases():
                         replace(sess, "a1", PSend("b1", "Stop", VarRef("y"), PEnd())), UNBOUND_VAR))
             out.append((f"{shape}-unbound-rec", g, replace(sess, "a1", PVar("Y")), UNBOUND_VAR))
             out.append((f"{shape}-unimplemented", g,
-                        Session(tuple(e for e in sess.entries if e[0] != "b0")), ROLE_UNIMPLEMENTED))
+                        Session(tuple(e for e in sess.entries if e[0] != "b1")), ROLE_UNIMPLEMENTED))
     g, sess = parsed(BEHIND_BACKS)
     out.append(("behind-backs", g, sess, SKIP_FAILED))
     return out
@@ -253,12 +246,15 @@ GATE_CASES = [
 ]
 
 
+def components(g):
+    return [build_lts(op).to_mlts() for op in par_operands(g)]
+
+
 def classifiers(classifier):
     """The product Mlts and the component Mlts's of a classifier."""
     if isinstance(classifier, Mlts):
-        return classifier, (classifier,)
-    return (build_lts(classifier).to_mlts(),
-            tuple(build_lts(op).to_mlts() for op in par_operands(classifier)))
+        return classifier, [classifier]
+    return build_lts(classifier).to_mlts(), components(classifier)
 
 
 def signature(outcome):
@@ -269,11 +265,10 @@ def signature(outcome):
 
 @pytest.mark.parametrize("name, classifier, sess", GATE_CASES, ids=[c[0] for c in GATE_CASES])
 def test_components_type_as_the_product(name, classifier, sess):
-    product, components = classifiers(classifier)
-    compositional = type_session(components, sess)
+    product, parts = classifiers(classifier)
+    compositional = type_session(parts, sess)
     assert signature(compositional) == signature(type_session(product, sess))
-    assert (check_well_behaved(product) == []) == all(
-        check_well_behaved(c) == [] for c in components)
+    assert (check_well_behaved(product) == []) == all(check_well_behaved(c) == [] for c in parts)
     # Well-typed implies safe and live: the accepted session explores clean
     # on the product.
     if isinstance(compositional, dict):
@@ -284,36 +279,39 @@ def test_looping_w4_types_per_operand():
     # Typing looping W_4 against its 625-state product takes seconds, and
     # exploring it longer, so the gate above stops at W_3 for loops.
     g, sess = parsed(workers_text(4, True))
-    outcome = type_session([build_lts(op).to_mlts() for op in par_operands(g)], sess)
-    assert signature(outcome) == ("well-typed", sorted(r for r, _ in sess.entries))
+    assert signature(type_session(components(g), sess)) == ("well-typed", sorted(sess.roles))
 
 
 def test_mutants_reach_every_error_kind():
-    kinds = set()
+    found = set()
     for name, g, sess, kind in MUTANT_CASES:
-        product, components = classifiers(g)
-        outcome = type_session(components, sess)
-        assert not isinstance(outcome, dict), name
-        assert kind in {e.kind for e in outcome}, (name, outcome)
-        kinds |= {e.kind for e in outcome}
-    assert {e.premise for _, g, sess, kind in MUTANT_CASES if kind == SKIP_FAILED
-            for e in type_session(classifiers(g)[1], sess)} >= {2, 4}
-    assert kinds == {PAYLOAD_MISMATCH, UNEXPECTED_SEND, MISSING_RECV_BRANCH, ROLE_CLASH,
-                     NOT_TERMINABLE, VAR_STATE_UNREACHABLE, EXPR_ILL_TYPED, SKIP_FAILED,
-                     UNBOUND_VAR, ROLE_UNIMPLEMENTED}
+        errors = type_session(components(g), sess)
+        assert isinstance(errors, list), name
+        assert kind in {e.kind for e in errors}, (name, errors)
+        found |= {(e.kind, e.premise) for e in errors}
+    assert {kind for kind, _ in found} == {
+        PAYLOAD_MISMATCH, UNEXPECTED_SEND, MISSING_RECV_BRANCH, ROLE_CLASH, NOT_TERMINABLE,
+        VAR_STATE_UNREACHABLE, EXPR_ILL_TYPED, SKIP_FAILED, UNBOUND_VAR, ROLE_UNIMPLEMENTED}
+    assert {(SKIP_FAILED, 2), (SKIP_FAILED, 4)} <= found
 
 
 def test_random_pairs_include_well_typed_sessions():
-    verdicts = [signature(type_session(classifiers(g)[1], sess))[0]
+    verdicts = [signature(type_session(components(g), sess))[0]
                 for name, g, sess in random_cases() if not name.endswith("-ends")]
     assert verdicts == ["well-typed"] * len(PROJECTABLE_DRAWS)
 
 
 @pytest.mark.parametrize("defect", DEFECT_DRAWS)
-def test_wb_rejects_the_product_iff_an_operand_is_rejected(defect):
-    product, components = classifiers(draw_pair(PROJECTABLE_DRAWS[0], defect))
+def test_wb_rejects_the_product_iff_an_operand_is_rejected(tmp_path, capsys, defect):
+    g = draw_pair(PROJECTABLE_DRAWS[0], defect)
+    product, parts = classifiers(g)
     assert check_well_behaved(product)
-    assert [bool(check_well_behaved(c)) for c in components] == [False, True]
+    assert [bool(check_well_behaved(c)) for c in parts] == [False, True]
+    # `wb` lists each operand's violations in spine order.
+    path = tmp_path / "pair.smpst"
+    path.write_text(f"global G = {pretty_global(g)};\n")
+    lines = [f"{path}:G: well-behaved: no"] + [f"  {v}" for c in parts for v in check_well_behaved(c)]
+    assert run_cli(capsys, "wb", str(path)) == (1, "\n".join(lines) + "\n", "")
 
 
 def test_type_session_rejects_components_that_share_a_role():
@@ -345,26 +343,21 @@ def test_rule_applications_grow_linearly_in_k(monkeypatch, looping, per_operand)
     for k in range(1, 9):
         calls.clear()
         g, sess = parsed(workers_text(k, looping))
-        outcome = type_session([build_lts(op).to_mlts() for op in par_operands(g)], sess)
-        assert isinstance(outcome, dict)
+        assert isinstance(type_session(components(g), sess), dict)
         assert len(calls) == per_operand * k
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+W8_ROLES = ", ".join(f"{x}{i}" for x in "abc" for i in range(8))
 
 
-@pytest.mark.parametrize("command", ["check", "wb"])
-def test_check_and_wb_of_w8_fit_the_default_cap(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, verdict", [
+    ("check", f": session S: 24 roles well-typed ({W8_ROLES})\n"),
+    ("wb", ":G: well-behaved: yes\n"),
+])
+def test_check_and_wb_of_w8_fit_the_default_cap(tmp_path, capsys, command, verdict):
     path = tmp_path / "w8.smpst"
     path.write_text(workers_text(8, True))
-    code, out, err = run_cli(capsys, command, str(path))
-    assert (code, err) == (0, "")
-    assert out.endswith("24 roles well-typed (" + ", ".join(
-        f"{x}{i}" for x in "abc" for i in range(8)) + ")\n" if command == "check"
-        else ":G: well-behaved: yes\n")
+    assert run_cli(capsys, command, str(path)) == (0, f"{path}{verdict}", "")
 
 
 @pytest.mark.parametrize("command", ["lts", "explore"])

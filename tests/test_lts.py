@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, load_protocol
+from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst import generate
 from synmpst.lts import (DEFAULT_STATE_CAP, CapExceededError, GlobalLts,
                          _ordered_steps, _Stepper, build_lts, enabled, active,
@@ -286,26 +286,6 @@ def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
             f"state terms grew beyond comparable depth after {len(terms)} states; "
             "the type's reordering closure is likely unbounded") from None
     return GlobalLts(tuple(terms), frozenset(transitions))
-
-
-def workers_global(k):
-    """W_k: the par of k disjoint five-state workers loops."""
-    parts = [f"mu X . a{i} -> b{i} {{ Datum(Int) . b{i} -> c{i}: Datum(Int) . "
-             f"c{i} -> a{i}: Result(Int) . X, Stop(Unit) . b{i} -> c{i}: Stop(Unit) . end }}"
-             for i in range(k)]
-    return nest_par(parts)
-
-
-def pairs_global(n):
-    """P_n: the par of n one-shot pairs."""
-    return nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)])
-
-
-def nest_par(parts):
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = f"par {{ {part} || {term} }}"
-    return term
 
 
 def parse_global(text):

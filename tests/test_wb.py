@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS, load_protocol
+from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts
 from synmpst.mlts import (CONDITIONAL_COMMUTATIVITY, DETERMINISM, DIAMOND,
@@ -95,26 +95,6 @@ def naive_check_well_behaved(m):
 
 # ---------------------------------------------------------------------------
 # Classifiers
-
-
-def workers_global(k):
-    """W_k: the par of k disjoint workers loops."""
-    parts = [f"mu X . a{i} -> b{i} {{ Datum(Int) . b{i} -> c{i}: Datum(Int) . "
-             f"c{i} -> a{i}: Result(Int) . X, Stop(Unit) . b{i} -> c{i}: Stop(Unit) . end }}"
-             for i in range(k)]
-    return nest_par(parts)
-
-
-def pairs_global(n):
-    """P_n: n independent one-shot pairs."""
-    return nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)])
-
-
-def nest_par(parts):
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = f"par {{ {part} || {term} }}"
-    return term
 
 
 def global_mlts(text):
