@@ -12,9 +12,8 @@ from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
                     pretty_global, pretty_process, roles_of,
                     substitute_global, substitute_process_rec,
                     substitute_process_val)
-from .lts import (CapExceededError, GlobalLts, build_lts, enabled, active,
-                  par_operands, reach_strong_without, reach_without, step,
-                  step_with, step_without, strong_step_without)
+from .lts import (CapExceededError, GlobalLts, build_lts, par_operands,
+                  reach_strong_without, reach_without, step, step_with)
 from .mlts import (Mlts, WbViolation, check_well_behaved, receiver_disjoint,
                    replay_violation)
 from .typecheck import (Checker, Derivation, TcError, render_derivation,

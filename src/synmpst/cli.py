@@ -21,7 +21,7 @@ from .lts import (DEFAULT_STATE_CAP, CapExceededError, build_lts, lts_to_dot,
 from .mlts import Mlts, check_well_behaved
 from .parser import ProtocolFile, parse_file, parse_mlts
 from .runtime import explore, render_message_sequence, run, trace_to_json_lines
-from .terms import GPar, Session
+from .terms import GlobalType, Session
 from .typecheck import type_session
 
 EXIT_OK = 0
@@ -91,21 +91,22 @@ def _parse_mlts_file(path: str) -> Mlts:
     return result
 
 
-def _global_mlts(pf: ProtocolFile, name: str, cap: int, product: bool = True
-                 ) -> tuple[Mlts, ...]:
-    """The classifier of a declared global, each LTS built within the state
-    cap: the LTS of the whole type, or with product=False one LTS per operand
-    on its par spine."""
-    g = pf.globals[name]
+def _lts(pf: ProtocolFile, name: str, g: GlobalType, cap: int) -> Mlts:
+    """The LTS of the declared global name, or of an operand g of it, built
+    within the state cap."""
     try:
-        return tuple(build_lts(part, cap).to_mlts()
-                     for part in ((g,) if product else par_operands(g)))
+        return build_lts(g, cap).to_mlts()
     except CapExceededError as e:
         raise CliFailure(f"{pf.path}: global {name}: {e}")
 
 
+def _operands(pf: ProtocolFile, name: str, cap: int) -> tuple[Mlts, ...]:
+    """The LTS of each operand on the par spine of the declared global name."""
+    return tuple(_lts(pf, name, g, cap) for g in par_operands(pf.globals[name]))
+
+
 def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unverified: bool
-          ) -> tuple[ProtocolFile, Callable[..., tuple[Mlts, ...]]]:
+          ) -> tuple[ProtocolFile, Callable[[str], tuple[Mlts, ...]]]:
     """Parse a protocol file; return it with the function that gives a
     session's classifier as role-disjoint components.
 
@@ -113,8 +114,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
     directive serves only the sessions whose global is not declared. An
     external MLTS must be well-behaved unless allow_unverified is set, and
     is one component. A declared global has one component per operand on
-    its par spine, or with product=True the one LTS of the whole type, the
-    product of those. Each classifier is built, or gated, once per file.
+    its par spine. Each classifier is built, or gated, once per file.
     """
     directive = _CLASSIFIER_RE.search(text)
     external_path = mlts_path or (directive and str(Path(path).parent / directive.group(1)))
@@ -122,7 +122,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
     pf = _parse_protocol(path, text, allow_unresolved=external is not None)
 
     @functools.cache
-    def resolve(name: Optional[str], product: bool) -> tuple[Mlts, ...]:
+    def resolve(name: Optional[str]) -> tuple[Mlts, ...]:
         """The classifier of a declared global, or of the external MLTS for None."""
         if name is None:
             violations = [] if allow_unverified else check_well_behaved(external)
@@ -131,21 +131,20 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
                     f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
                     "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
             return (external,)
-        return _global_mlts(pf, name, cap, product)
+        return _operands(pf, name, cap)
 
-    def classifier(session: str, product: bool = False) -> tuple[Mlts, ...]:
+    def classifier(session: str) -> tuple[Mlts, ...]:
         name = pf.sessions[session].global_name
         if external is not None and (mlts_path is not None or name not in pf.globals):
-            return resolve(None, True)
-        # Any other global than a par is its own one operand: build it once.
-        return resolve(name, product or not isinstance(pf.globals[name], GPar))
+            name = None
+        return resolve(name)
 
     return pf, classifier
 
 
 def _check_file(path: str, text: str, cap: int, mlts_path: Optional[str],
                 allow_unverified: bool
-                ) -> tuple[list[dict], ProtocolFile, Callable[..., tuple[Mlts, ...]]]:
+                ) -> tuple[list[dict], ProtocolFile, Callable[[str], tuple[Mlts, ...]]]:
     """Type every session of the file against its components; return the
     reports with the file and its classifiers, as _load gives them. A file
     that declares no session is an error."""
@@ -199,7 +198,7 @@ def cmd_lts(args) -> int:
     for name in names:
         if name not in pf.globals:
             raise CliFailure(f"{args.file}: unknown global {name}")
-        (m,) = _global_mlts(pf, name, cap)
+        m = _lts(pf, name, pf.globals[name], cap)
         if args.format == "dot":
             chunks.append(lts_to_dot(m))
         elif args.format == "json":
@@ -228,8 +227,7 @@ def cmd_wb(args) -> int:
             raise CliFailure(f"{args.file}: no global types declared")
         # The product is well-behaved iff every operand is (see type_session).
         for name in pf.globals:
-            violations = [v for m in _global_mlts(pf, name, cap, product=False)
-                          for v in check_well_behaved(m)]
+            violations = [v for m in _operands(pf, name, cap) for v in check_well_behaved(m)]
             results.append((f"{args.file}:{name}", violations))
     any_violation = any(v for _, v in results)
     if args.format == "json":
@@ -272,8 +270,7 @@ def cmd_explore(args) -> int:
     pf, classifier = _load(args.file, _read(args.file), cap, args.mlts,
                            args.allow_unverified)
     name, sess = _pick_session(pf, args.session)
-    (m,) = classifier(name, product=True)
-    report = explore(m, sess, args.max_depth)
+    report = explore(classifier(name), sess, args.max_depth)
     doc = {
         "session": name,
         "configs_visited": report.configs_visited,
@@ -325,7 +322,7 @@ def cmd_bench(args) -> int:
             passed = verdicts == {expectation}
             detail = f"{len(reports)} session(s) {'/'.join(sorted(verdicts))}, expected {expectation}"
             if passed and expectation == "well-typed":
-                sound = all(explore(classifier(name, product=True)[0], pf.session(name),
+                sound = all(explore(classifier(name), pf.session(name),
                                     args.max_depth).sound_at_depth
                             for name in pf.sessions)
                 passed = sound
@@ -345,7 +342,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_pass else EXIT_SEMANTIC
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="synmpst",
         description="Type-check, verify and execute multiparty protocols against "
@@ -410,8 +409,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliFailure as e:

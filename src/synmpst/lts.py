@@ -336,39 +336,15 @@ def step_with(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAc
     return frozenset((a, t) for a, t in m.transitions_from(s) if required <= a.roles)
 
 
-def step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
-    """Transitions of s in which none of the given roles participate."""
-    banned = frozenset(roles)
-    return frozenset((a, t) for a, t in m.transitions_from(s)
-                     if a.sender not in banned and a.receiver not in banned)
-
-
-def strong_step_without(m: Mlts, s: int, roles: Iterable[str]) -> frozenset[tuple[GlobalAction, int]]:
-    """step_without, but only when no transition of s involves every given role."""
-    banned = frozenset(roles)
-    if m.involves(s, banned):
-        return frozenset()
-    return step_without(m, s, banned)
-
-
 def reach_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
     """States reachable through zero or more transitions without the roles."""
     return m.reach(s, frozenset(roles))
 
 
 def reach_strong_without(m: Mlts, s: int, roles: Iterable[str]) -> tuple[int, ...]:
-    """Reflexive-transitive closure of the strong role-avoiding step."""
+    """States reachable through zero or more transitions without the roles,
+    leaving no state at which a transition involves them all."""
     return m.reach(s, frozenset(roles), strong=True)
-
-
-def enabled(m: Mlts, s: int, role: str) -> bool:
-    """role participates in some transition of s."""
-    return m.involves(s, frozenset((role,)))
-
-
-def active(m: Mlts, s: int, role: str) -> bool:
-    """Some state reachable from s (via any transitions) enables role."""
-    return role in m.active_roles(s)
 
 
 # ---------------------------------------------------------------------------

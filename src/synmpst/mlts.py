@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence, Union
 
 from .terms import GlobalAction
 
@@ -183,6 +184,26 @@ class Mlts:
             for x, _ in rows[t]:
                 seen |= masks[x]
         return frozenset(r for r, bit in table.bits.items() if seen & bit)
+
+
+# One Mlts, or a sequence of components with pairwise disjoint roles that
+# stand for their product, such as the LTSs of the operands on a global
+# type's par spine.
+Classifier = Union[Mlts, Sequence[Mlts]]
+
+
+def components(classifier: Classifier) -> tuple[tuple[Mlts, ...], dict[str, int]]:
+    """A classifier's components and the index of each role's component;
+    ValueError if there is no component or two components share a role."""
+    parts = (classifier,) if isinstance(classifier, Mlts) else tuple(classifier)
+    if not parts:
+        raise ValueError("a classifier needs at least one component")
+    owner: dict[str, int] = {}
+    for i, m in enumerate(parts):
+        for role in m.roles:
+            if owner.setdefault(role, i) != i:
+                raise ValueError(f"role {role} occurs in two components")
+    return parts, owner
 
 
 @dataclass(frozen=True)

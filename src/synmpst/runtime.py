@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .mlts import Mlts
+from .mlts import Classifier, Mlts, components
 from .terms import (Add, BoolLit, Eq, Expr, GlobalAction, IntLit, Mul, NatLit,
                     PEnd, PIf, PLet, PRec, PRecv, PSend, Process, Role, Session,
                     VarRef, is_value, pretty_expr, substitute_process_rec,
@@ -183,15 +183,21 @@ def check_trace(m: Mlts, trace: Trace) -> Optional[int]:
     return None
 
 
+# A configuration of exploration: a session and the state of each component
+# of its classifier, a 1-tuple for a single Mlts.
+Config = tuple[Session, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ExploreReport:
-    """Verdict of a bounded lockstep exploration of (session, state) configs."""
+    """Verdict of a bounded lockstep exploration of configurations; the
+    state in each witness is a vector of component states, as in a Config."""
     configs_visited: int
     depth_reached: int
     complete: bool
     stuck_non_final: tuple[Session, ...]
-    tau_cycles: tuple[tuple[tuple[Session, int], ...], ...]
-    preservation_breaks: tuple[tuple[Session, RuntimeAction, int], ...]
+    tau_cycles: tuple[tuple[Config, ...], ...]
+    preservation_breaks: tuple[tuple[Session, RuntimeAction, tuple[int, ...]], ...]
 
     @property
     def sound_at_depth(self) -> bool:
@@ -201,27 +207,30 @@ class ExploreReport:
 _WITNESS_CAP = 20
 
 
-def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
-    """Breadth-first search over session/state pairs, in lockstep with m.
+def explore(classifier: Classifier, sess: Session, max_depth: int) -> ExploreReport:
+    """Breadth-first search over configurations, in lockstep with the
+    classifier: one Mlts, or role-disjoint components standing for their product.
 
-    Every communication must be matched by a transition of the paired state
-    (else it is a preservation break), and is followed to every target of
-    that transition; a quiescent configuration with a
-    non-terminated process is stuck; a cycle of internal steps alone is a
-    divergence witness.
+    A communication follows every target of a matching transition of its
+    sender's component, the others staying put; with none, or no component
+    for the sender, it is a preservation break. A quiescent configuration
+    with a non-terminated process is stuck; a cycle of internal steps alone
+    is a divergence witness. A product transition moves only its sender's
+    component, so the components give the product's configurations and
+    witnesses one for one, each product state as its vector.
     """
+    parts, owner = components(classifier)
     memo: dict = {}
-    initial = (sess, m.initial)
+    initial = (sess, tuple(m.initial for m in parts))
     visited = {initial}
     frontier = [initial]
     stuck: list[Session] = []
-    breaks: list[tuple[Session, RuntimeAction, int]] = []
-    tau_edges: dict[tuple[Session, int], list[tuple[Session, int]]] = {}
+    breaks: list[tuple[Session, RuntimeAction, tuple[int, ...]]] = []
+    tau_edges: dict[Config, list[Config]] = {}
     depth = 0
-    complete = True
 
     while frontier and depth < max_depth:
-        next_frontier: list[tuple[Session, int]] = []
+        next_frontier: list[Config] = []
         for config in frontier:
             current, state = config
             steps = session_step(current, memo)
@@ -235,7 +244,10 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
                     targets = (state,)
                     tau_edges.setdefault(config, []).append((after, state))
                 else:
-                    targets = m.targets(state, action)
+                    i = owner.get(action.sender)
+                    targets = () if i is None else [
+                        state[:i] + (t,) + state[i + 1:]
+                        for t in parts[i].targets(state[i], action)]
                     if not targets:
                         if len(breaks) < _WITNESS_CAP:
                             breaks.append((current, action, state))
@@ -248,13 +260,11 @@ def explore(m: Mlts, sess: Session, max_depth: int) -> ExploreReport:
         frontier = next_frontier
         if frontier:
             depth += 1
-    if frontier:
-        complete = False
 
     return ExploreReport(
         configs_visited=len(visited),
         depth_reached=depth,
-        complete=complete,
+        complete=not frontier,
         stuck_non_final=tuple(stuck),
         tau_cycles=tuple(_tau_cycles(tau_edges)),
         preservation_breaks=tuple(breaks),

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -229,9 +229,6 @@ class Eq(Expr):
     left: Expr
     right: Expr
     span: Optional[SourceSpan] = field(**_SPAN)
-
-
-Value = Union[UnitLit, BoolLit, NatLit, IntLit, StrLit]
 
 
 def is_value(e: Expr) -> bool:

@@ -9,10 +9,10 @@ checking always terminates on a finite classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .lts import reach_strong_without, reach_without, step_with
-from .mlts import Mlts
+from .mlts import Classifier, Mlts, components
 from .terms import (Add, BoolLit, Eq, Expr, IntLit, Mul, NatLit, PayloadType,
                     PEnd, PIf, PLet, PRec, PRecv, Process, PSend, PVar,
                     Role, Session, SourceSpan, StrLit, UnitLit, VarRef,
@@ -26,7 +26,6 @@ RULE_LET = "⊢-Let"
 RULE_IF = "⊢-If"
 RULE_REC = "⊢-Rec"
 RULE_VAR = "⊢-Var"
-RULE_COMP = "⊢-Comp"
 
 UNEXPECTED_SEND = "UnexpectedSend"
 MISSING_RECV_BRANCH = "MissingRecvBranch"
@@ -403,18 +402,17 @@ def try_skip(m: Mlts, gamma: DataEnv, delta: SessEnv, role: Role, p: Process,
         return f.err
 
 
-def type_session(classifier: Union[Mlts, Sequence[Mlts]], sess: Session
+def type_session(classifier: Classifier, sess: Session
                  ) -> Union[dict[Role, Derivation], list[TcError]]:
     """Type every process of a session at the initial state of its classifier.
 
-    The classifier is one Mlts, or a sequence of components with pairwise
-    disjoint roles that stand for their product, such as the LTSs of the
-    operands on a global type's par spine. Each role is checked against the
-    component whose roles contain it, or against the first component if
-    none does. Every role active at a component's initial state must be
-    implemented. All failures are collected rather than reported one at a
-    time: each unimplemented role in name order, then each failing process
-    in the session's order.
+    The classifier is one Mlts, or components with pairwise disjoint roles
+    that stand for their product (mlts.Classifier). Each role is checked
+    against the component whose roles contain it, or against the
+    first component if none does. Every role active at a component's initial
+    state must be implemented. All failures are collected rather than
+    reported one at a time: each unimplemented role in name order, then each
+    failing process in the session's order.
 
     Checking each component on its own gives the product's verdicts, and
     each error names the same role; the states it names are ids of the
@@ -452,18 +450,11 @@ def type_session(classifier: Union[Mlts, Sequence[Mlts]], sess: Session
     SenderDeterminacy, and they commute, closing ConditionalCommutativity
     and Diamond. So the product is well-behaved iff every component is.
     """
-    components = (classifier,) if isinstance(classifier, Mlts) else tuple(classifier)
-    if not components:
-        raise ValueError("a classifier needs at least one component")
-    checkers = [Checker(m) for m in components]
-    owner: dict[Role, Checker] = {}
-    for checker in checkers:
-        for role in checker.m.roles:
-            if owner.setdefault(role, checker) is not checker:
-                raise ValueError(f"role {role} occurs in two components")
+    parts, owner = components(classifier)
+    checkers = [Checker(m) for m in parts]
 
     errors: list[TcError] = []
-    active = {role: m for m in components for role in m.active_roles(m.initial)}
+    active = {role: m for m in parts for role in m.active_roles(m.initial)}
     for missing in sorted(active.keys() - set(sess.roles)):
         m = active[missing]
         errors.append(TcError(
@@ -473,7 +464,7 @@ def type_session(classifier: Union[Mlts, Sequence[Mlts]], sess: Session
     derivations: dict[Role, Derivation] = {}
     for role, proc in sess.entries:
         try:
-            derivations[role] = owner.get(role, checkers[0]).check_process(role, proc)
+            derivations[role] = checkers[owner.get(role, 0)].check_process(role, proc)
         except _Fail as f:
             errors.append(f.err)
     if errors:

@@ -4,6 +4,7 @@ import pytest
 
 from synmpst.lts import build_lts
 from synmpst.parser import ProtocolFile, parse_file, parse_mlts
+from synmpst.runtime import ExploreReport
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -38,6 +39,60 @@ def workers_global(k):
 def pairs_global(n):
     """P_n: the par of n one-shot pairs."""
     return nest_par([f"p{i} -> q{i}: M(Unit) . end" for i in range(n)])
+
+
+def workers_processes(i, looping, payload=None):
+    """The processes of W_k's worker i, written as in corpus/workers.smpst:
+    b_i and c_i unroll one iteration; a_i stops at once or loops on a
+    constant. `payload` replaces a_i's first payload."""
+    a, b, c = f"a{i}", f"b{i}", f"c{i}"
+    if looping:
+        pa = (f"send {b} Datum({payload or '+7'}) . recv {c} {{ Result(x: Int) . rec X . "
+              f"send {b} Datum(x) . recv {c} {{ Result(y: Int) . X }} }}")
+    else:
+        pa = f"send {b} Stop({payload or 'unit'}) . end"
+    pb = (f"recv {a} {{ Datum(x: Int) . send {c} Datum(x) . rec X . recv {a} {{ "
+          f"Datum(x: Int) . send {c} Datum(x) . X, Stop(_: Unit) . send {c} Stop(unit) . end }}, "
+          f"Stop(_: Unit) . send {c} Stop(unit) . end }}")
+    pc = (f"recv {b} {{ Datum(x: Int) . send {a} Result(x) . rec X . recv {b} {{ "
+          f"Datum(x: Int) . send {a} Result(x) . X, Stop(_: Unit) . end }}, "
+          f"Stop(_: Unit) . end }}")
+    return {a: pa, b: pb, c: pc}
+
+
+def session_text(global_text, processes):
+    """A file declaring global G, a process P_r for each role r, and session S."""
+    lines = [f"global G = {global_text};"]
+    lines += [f"process P_{role} at {role} = {body};" for role, body in processes.items()]
+    lines.append(f"session S of G = {{ {', '.join(f'{r}: P_{r}' for r in processes)} }};")
+    return "\n".join(lines) + "\n"
+
+
+def workers_text(k, looping, payload=None, **replaced):
+    """W_k and a session of its processes; `payload` replaces every a_i's
+    first payload, and `replaced` maps roles to process texts of their own."""
+    processes = {}
+    for i in range(k):
+        processes.update(workers_processes(i, looping, payload))
+    processes.update(replaced)
+    return session_text(workers_global(k), processes)
+
+
+def pairs_text(n):
+    """P_n and a session of its processes."""
+    processes = {}
+    for i in range(n):
+        processes[f"p{i}"] = f"send q{i} M(unit) . end"
+        processes[f"q{i}"] = f"recv p{i} {{ M(_: Unit) . end }}"
+    return session_text(pairs_global(n), processes)
+
+
+def in_ids(report, state_id):
+    """An ExploreReport with each state vector v in a witness replaced by state_id(v)."""
+    return ExploreReport(
+        report.configs_visited, report.depth_reached, report.complete, report.stuck_non_final,
+        tuple(tuple((sess, state_id(v)) for sess, v in cycle) for cycle in report.tau_cycles),
+        tuple((sess, action, state_id(v)) for sess, action, v in report.preservation_breaks))
 
 
 def load_protocol(name: str, *, allow_unresolved: bool = False) -> ProtocolFile:

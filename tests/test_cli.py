@@ -1,12 +1,15 @@
 import contextlib
+import importlib.util
 import io
 import json
+import pathlib
 import shutil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import synmpst.cli
+import synmpst.runtime
 from conftest import CORPUS, TOKEN_FRAGMENTS
 from synmpst.cli import main
 
@@ -328,6 +331,20 @@ def test_non_integer_option_rejected(capsys):
     assert "argument --max-depth: invalid int value: 'deep'" in capsys.readouterr().err
 
 
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    assert synmpst.cli._build_arg_parser() is synmpst.cli._build_arg_parser()
+    plain = run_cli(capsys, "simulate", RING)
+    seeded = run_cli(capsys, "simulate", RING, "--seed", "3", "--format", "json")
+    assert run_cli(capsys, "simulate", RING) == plain
+    assert run_cli(capsys, "simulate", RING, "--seed", "3", "--format", "json") == seeded
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", RING, "--max-steps", "-1"])
+        assert exc.value.code == 2
+        assert "argument --max-steps: must be at least 0" in capsys.readouterr().err
+        assert run_cli(capsys, "simulate", RING) == plain
+
+
 def test_state_cap_env_below_one_rejected(capsys, monkeypatch):
     monkeypatch.setenv("SYNMPST_STATE_CAP", "0")
     code, out, err = run_cli(capsys, "check", RING)
@@ -442,6 +459,23 @@ def test_classifiers_resolved_once_per_file(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert out.count("3 roles well-typed") == 2
     assert calls == {"build_lts": 1, "check_well_behaved": 1}
+
+
+def test_perfbench_tracer_finds_every_name_it_traces():
+    """perfbench/tracer.py wraps functions at the module and name their
+    callers resolve; renaming or deleting one must fail here."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        assert synmpst.cli.explore is not synmpst.runtime.explore
+    finally:
+        tracer.uninstall()
+    assert synmpst.cli.explore is synmpst.runtime.explore
 
 
 _CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.smpst"))]

@@ -1,17 +1,19 @@
-"""Compositional typing and well-behavedness of a top-level par.
+"""Compositional typing, well-behavedness and exploration of a top-level par.
 
-`check` and `wb` check each operand on a global type's par spine against its
-own LTS. Typing the product LTS is the differential reference: on every input
-below, both give the same verdict and the same (kind, role, premise) for each
-error, and the product is well-behaved iff every operand is. Every session
-the compositional check accepts must also explore clean on the product.
+`check`, `wb` and `explore` check each operand on a global type's par spine
+against its own LTS. The product LTS is the differential reference: on every
+input below, typing both gives the same verdict and the same (kind, role,
+premise) for each error, the product is well-behaved iff every operand is,
+and exploring both visits the same configurations and finds the same
+witnesses. Every session the compositional check accepts must also explore
+clean on the product.
 """
 import random
 
 import pytest
 
 import synmpst.cli
-from conftest import CORPUS, load_protocol, pairs_global, workers_global
+from conftest import CORPUS, in_ids, load_protocol, pairs_text, workers_text
 from synmpst.cli import main
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts, par_operands
@@ -26,48 +28,6 @@ from synmpst.typecheck import (EXPR_ILL_TYPED, MISSING_RECV_BRANCH, NOT_TERMINAB
                                PAYLOAD_MISMATCH, ROLE_CLASH, ROLE_UNIMPLEMENTED,
                                SKIP_FAILED, UNBOUND_VAR, UNEXPECTED_SEND,
                                VAR_STATE_UNREACHABLE, Checker, type_session)
-
-# ---------------------------------------------------------------------------
-# Sessions of the W_k and P_n families, written as in corpus/workers.smpst
-
-
-def workers_processes(i, looping):
-    a, b, c = f"a{i}", f"b{i}", f"c{i}"
-    if looping:
-        pa = (f"send {b} Datum(+7) . recv {c} {{ Result(x: Int) . rec X . "
-              f"send {b} Datum(x) . recv {c} {{ Result(y: Int) . X }} }}")
-    else:
-        pa = f"send {b} Stop(unit) . end"
-    pb = (f"recv {a} {{ Datum(x: Int) . send {c} Datum(x) . rec X . recv {a} {{ "
-          f"Datum(x: Int) . send {c} Datum(x) . X, Stop(_: Unit) . send {c} Stop(unit) . end }}, "
-          f"Stop(_: Unit) . send {c} Stop(unit) . end }}")
-    pc = (f"recv {b} {{ Datum(x: Int) . send {a} Result(x) . rec X . recv {b} {{ "
-          f"Datum(x: Int) . send {a} Result(x) . X, Stop(_: Unit) . end }}, "
-          f"Stop(_: Unit) . end }}")
-    return {a: pa, b: pb, c: pc}
-
-
-def session_text(global_text, processes):
-    lines = [f"global G = {global_text};"]
-    lines += [f"process P_{role} at {role} = {body};" for role, body in processes.items()]
-    lines.append(f"session S of G = {{ {', '.join(f'{r}: P_{r}' for r in processes)} }};")
-    return "\n".join(lines) + "\n"
-
-
-def workers_text(k, looping, **replaced):
-    processes = {}
-    for i in range(k):
-        processes.update(workers_processes(i, looping))
-    processes.update(replaced)
-    return session_text(workers_global(k), processes)
-
-
-def pairs_text(n):
-    processes = {}
-    for i in range(n):
-        processes[f"p{i}"] = f"send q{i} M(unit) . end"
-        processes[f"q{i}"] = f"recv p{i} {{ M(_: Unit) . end }}"
-    return session_text(pairs_global(n), processes)
 
 
 def parsed(text):
@@ -257,6 +217,22 @@ def classifiers(classifier):
     return build_lts(classifier).to_mlts(), components(classifier)
 
 
+def product_states(classifier):
+    """The map from a vector of component states to its product state id."""
+    if isinstance(classifier, Mlts):
+        return lambda v: v[0]
+    operand_terms = [build_lts(op).terms for op in par_operands(classifier)]
+    index = {term: i for i, term in enumerate(build_lts(classifier).terms)}
+
+    def spine(g, parts):
+        """g's par spine with each operand replaced by the next of parts."""
+        if isinstance(g, GPar):
+            return GPar(spine(g.left, parts), spine(g.right, parts))
+        return next(parts)
+
+    return lambda v: index[spine(classifier, (terms[s] for terms, s in zip(operand_terms, v)))]
+
+
 def signature(outcome):
     if isinstance(outcome, dict):
         return "well-typed", sorted(outcome)
@@ -273,6 +249,13 @@ def test_components_type_as_the_product(name, classifier, sess):
     # on the product.
     if isinstance(compositional, dict):
         assert explore(product, sess, 200).sound_at_depth
+
+
+@pytest.mark.parametrize("name, classifier, sess", GATE_CASES, ids=[c[0] for c in GATE_CASES])
+def test_components_explore_as_the_product(name, classifier, sess):
+    product, parts = classifiers(classifier)
+    expected = in_ids(explore(product, sess, 200), lambda v: v[0])
+    assert in_ids(explore(parts, sess, 200), product_states(classifier)) == expected
 
 
 def test_looping_w4_types_per_operand():
@@ -312,6 +295,17 @@ def test_wb_rejects_the_product_iff_an_operand_is_rejected(tmp_path, capsys, def
     path.write_text(f"global G = {pretty_global(g)};\n")
     lines = [f"{path}:G: well-behaved: no"] + [f"  {v}" for c in parts for v in check_well_behaved(c)]
     assert run_cli(capsys, "wb", str(path)) == (1, "\n".join(lines) + "\n", "")
+
+
+def test_explore_breaks_on_a_sender_no_component_has():
+    g, sess = parsed(workers_text(2, False))
+    strangers = Session(sess.entries + (
+        ("y", PSend("z", "M", UnitLit(), PEnd())),
+        ("z", PRecv("y", (RecvBranch("M", "v", PayloadType.UNIT, PEnd()),)))))
+    report = explore(components(g), strangers, 200)
+    assert report.preservation_breaks
+    assert {action for _, action, _ in report.preservation_breaks} == \
+        {GlobalAction("y", "z", "M", PayloadType.UNIT)}
 
 
 def test_type_session_rejects_components_that_share_a_role():
@@ -360,22 +354,31 @@ def test_check_and_wb_of_w8_fit_the_default_cap(tmp_path, capsys, command, verdi
     assert run_cli(capsys, command, str(path)) == (0, f"{path}{verdict}", "")
 
 
-@pytest.mark.parametrize("command", ["lts", "explore"])
-def test_lts_and_explore_of_w6_exceed_the_cap(tmp_path, capsys, command):
+def test_lts_of_w6_exceeds_the_cap(tmp_path, capsys):
     path = tmp_path / "w6.smpst"
     path.write_text(workers_text(6, False))
-    code, out, err = run_cli(capsys, command, str(path))
+    code, out, err = run_cli(capsys, "lts", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"synmpst: error: {path}: global G: state cap 10000 exceeded with ")
+
+
+def test_explore_of_w6_runs_per_operand(tmp_path, capsys):
+    # Each a_i stops at once: 3^6 configurations, where the product has 5^6 states.
+    path = tmp_path / "w6.smpst"
+    path.write_text(workers_text(6, False))
+    code, out, err = run_cli(capsys, "explore", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("session S: explored 729 configurations to depth 12\n")
 
 
 @pytest.mark.parametrize("command, built", [
     ("check", ["operand", "operand"]),
     ("wb", ["operand", "operand"]),
+    ("explore", ["operand", "operand"]),
+    ("bench", ["operand", "operand"]),
     ("lts", ["par"]),
-    ("explore", ["par"]),
-])
-def test_only_check_and_wb_build_the_operands(tmp_path, capsys, monkeypatch, command, built):
+], ids=["check", "wb", "explore", "bench", "lts"])
+def test_only_lts_builds_the_product(tmp_path, capsys, monkeypatch, command, built):
     path = tmp_path / "w2.smpst"
     path.write_text(workers_text(2, False))
     terms = []
@@ -385,5 +388,5 @@ def test_only_check_and_wb_build_the_operands(tmp_path, capsys, monkeypatch, com
         return build_lts(g, *args)
 
     monkeypatch.setattr(synmpst.cli, "build_lts", recording)
-    assert run_cli(capsys, command, str(path))[0] == 0
+    assert run_cli(capsys, command, str(tmp_path if command == "bench" else path))[0] == 0
     assert terms == built

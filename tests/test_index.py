@@ -5,11 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import CORPUS, load_protocol
+from conftest import CORPUS, load_protocol, workers_text
 from synmpst.generate import random_global_type
-from synmpst.lts import (active, build_lts, enabled, reach_strong_without,
-                         reach_without, step_with, step_without,
-                         strong_step_without)
+from synmpst.lts import build_lts, reach_strong_without, reach_without, step_with
 from synmpst.mlts import Mlts
 from synmpst.parser import parse_file, parse_mlts
 from synmpst.terms import GlobalAction, PayloadType
@@ -91,8 +89,6 @@ def test_index_answers_as_a_naive_walk(name, m):
         for rs in role_sets:
             queries = [
                 (step_with, naive_step_with(m, s, rs)),
-                (step_without, naive_step_without(m, s, rs)),
-                (strong_step_without, naive_strong_step_without(m, s, rs)),
                 (reach_without, naive_closure(
                     m, s, lambda m, st: naive_step_without(m, st, rs))),
                 (reach_strong_without, naive_closure(
@@ -104,45 +100,18 @@ def test_index_answers_as_a_naive_walk(name, m):
                 assert type(first) is type(expected), (query.__name__, s, rs)
                 assert query(m, s, rs) == first, (query.__name__, s, rs)
         for role in roles:
-            assert enabled(m, s, role) == bool(naive_step_with(m, s, (role,))), (s, role)
-            assert active(m, s, role) == naive_active(m, s, role), (s, role)
-            assert active(m, s, role) == active(m, s, role)
+            assert m.involves(s, frozenset((role,))) == bool(naive_step_with(m, s, (role,))), \
+                (s, role)
+            assert (role in m.active_roles(s)) == naive_active(m, s, role), (s, role)
+            assert m.active_roles(s) == m.active_roles(s)
 
 
 # ---------------------------------------------------------------------------
 # Cost: each closure is walked once per classifier
 
 
-def workers_loop(k: int) -> str:
-    """The par of k disjoint looping worker pipelines, processes as in corpus/workers.smpst."""
-    components, lines, bindings = [], [], []
-    for i in range(k):
-        a, b, c = f"a{i}", f"b{i}", f"c{i}"
-        components.append(
-            f"mu X . {a} -> {b} {{ Datum(Int) . {b} -> {c}: Datum(Int) . {c} -> {a}: Result(Int) . X, "
-            f"Stop(Unit) . {b} -> {c}: Stop(Unit) . end }}")
-        bodies = {
-            a: f"send {b} Datum(+1) . recv {c} {{ Result(x: Int) . rec X . "
-               f"send {b} Datum(x) . recv {c} {{ Result(y: Int) . X }} }}",
-            b: f"recv {a} {{ Datum(x: Int) . send {c} Datum(x) . rec X . recv {a} {{ "
-               f"Datum(x: Int) . send {c} Datum(x) . X, Stop(_: Unit) . send {c} Stop(unit) . end }}, "
-               f"Stop(_: Unit) . send {c} Stop(unit) . end }}",
-            c: f"recv {b} {{ Datum(x: Int) . send {a} Result(x) . rec X . recv {b} {{ "
-               f"Datum(x: Int) . send {a} Result(x) . X, Stop(_: Unit) . end }}, "
-               f"Stop(_: Unit) . end }}",
-        }
-        for role, body in bodies.items():
-            lines.append(f"process P_{role} at {role} = {body};")
-            bindings.append(f"{role}: P_{role}")
-    term = components[-1]
-    for part in reversed(components[:-1]):
-        term = f"par {{ {part} || {term} }}"
-    return "\n".join([f"global G = {term};", *lines,
-                      f"session S of G = {{ {', '.join(bindings)} }};"]) + "\n"
-
-
 def test_typing_walks_each_closure_once(monkeypatch):
-    pf = parse_file(workers_loop(3), "w3.smpst")
+    pf = parse_file(workers_text(3, True, "+1"), "w3.smpst")
     m = build_lts(pf.globals["G"]).to_mlts()
     assert len(m.labels) == 125
     walks = Counter()

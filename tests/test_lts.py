@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst import generate
 from synmpst.lts import (DEFAULT_STATE_CAP, CapExceededError, GlobalLts,
-                         _ordered_steps, _Stepper, build_lts, enabled, active,
-                         lts_to_dot, lts_to_json, reach_strong_without,
-                         reach_without, step, step_with, step_without,
-                         strong_step_without)
+                         _ordered_steps, _Stepper, build_lts, lts_to_dot,
+                         lts_to_json, reach_strong_without, reach_without, step,
+                         step_with)
 from synmpst.mlts import Mlts
 from synmpst.parser import parse_file, parse_mlts
 from synmpst.terms import (GBranch, GComm, GEnd, GlobalAction, GMu, GPar,
@@ -105,23 +104,6 @@ def test_step_with_examples(ring_m, ring_states):
         assert step_with(ring_m, s, ()) == frozenset(ring_m.transitions_from(s))
 
 
-def test_step_without_examples(ring_m, ring_states):
-    g = ring_states
-    assert step_without(ring_m, g["G2"], {"a"}) == \
-        {(act("b", "c", "AppThenGet", NAT), g["G3"])}
-    both = step_without(ring_m, g["G1"], {"c"})
-    assert {a for a, _ in both} == {act("a", "b", "AppThenGet", NAT), act("a", "b", "App", NAT)}
-    assert step_without(ring_m, g["G4"], {"a"}) == frozenset()
-
-
-def test_strong_step_without_examples(ring_m, ring_states):
-    g = ring_states
-    strong = strong_step_without(ring_m, g["G1"], {"c"})
-    assert len(strong) == 2
-    assert strong_step_without(ring_m, g["G3"], {"a"}) == frozenset()
-    assert strong_step_without(ring_m, g["G4"], {"a"}) == frozenset()
-
-
 def test_reach_without_examples(ring_m, ring_states):
     g = ring_states
     assert reach_without(ring_m, g["G1"], {"a"}) == (g["G1"],)
@@ -137,11 +119,11 @@ def test_reach_strong_without(ring_m, ring_states):
 
 def test_enabled_and_active(ring_m, ring_states):
     g = ring_states
-    assert not enabled(ring_m, g["G1"], "c")
-    assert active(ring_m, g["G1"], "c")
-    assert not enabled(ring_m, g["G6"], "b")
-    assert not active(ring_m, g["G6"], "b")
-    assert not active(ring_m, g["G1"], "nobody")
+    assert not ring_m.involves(g["G1"], frozenset("c"))
+    assert "c" in ring_m.active_roles(g["G1"])
+    assert not ring_m.involves(g["G6"], frozenset("b"))
+    assert "b" not in ring_m.active_roles(g["G6"])
+    assert "nobody" not in ring_m.active_roles(g["G1"])
 
 
 def test_partition_for_single_role(ring_m):
@@ -149,7 +131,7 @@ def test_partition_for_single_role(ring_m):
         full = frozenset(ring_m.transitions_from(s))
         for role in ("a", "b", "c"):
             with_r = step_with(ring_m, s, {role})
-            without_r = step_without(ring_m, s, {role})
+            without_r = {(a, t) for a, t in full if role not in a.roles}
             assert with_r | without_r == full
             assert not with_r & without_r
 
@@ -157,7 +139,7 @@ def test_partition_for_single_role(ring_m):
 def test_strong_step_nonempty_implies_disabled(ring_m):
     for s in ring_m.states:
         for role in ("a", "b", "c"):
-            if strong_step_without(ring_m, s, {role}):
+            if reach_strong_without(ring_m, s, {role}) != (s,):
                 assert not step_with(ring_m, s, {role})
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS, load_protocol
+from conftest import CORPUS, in_ids, load_protocol, workers_processes, workers_text
 from synmpst import runtime
 from synmpst.lts import build_lts
 from synmpst.mlts import Mlts
@@ -197,7 +197,7 @@ def test_explore_follows_every_target_of_a_nondeterministic_classifier():
     report = explore(m, _forked_session(), 10)
     # Only the second target of Go breaks preservation.
     assert [(action, state) for _, action, state in report.preservation_breaks] == \
-        [(act("b", "c", "Fwd"), 2)]
+        [(act("b", "c", "Fwd"), (2,))]
     assert not report.sound_at_depth
     assert report.configs_visited == 4    # s0, both targets of Go, and s3
 
@@ -317,39 +317,10 @@ def naive_explore(m, sess, max_depth):
                          tuple(runtime._tau_cycles(tau_edges)), tuple(breaks))
 
 
-def workers_text(k, looping, wrong=None):
-    """W_k and its processes, written as in corpus/workers.smpst: b_i and c_i
-    unroll one iteration; a_i stops at once or loops on a constant. `wrong`
-    replaces a_0's first payload."""
-    parts, procs = [], []
-    for i in range(k):
-        a, b, c = f"a{i}", f"b{i}", f"c{i}"
-        parts.append(f"mu X . {a} -> {b} {{ Datum(Int) . {b} -> {c}: Datum(Int) . "
-                     f"{c} -> {a}: Result(Int) . X, Stop(Unit) . {b} -> {c}: Stop(Unit) . end }}")
-        first = (wrong if i == 0 and wrong else None)
-        if looping:
-            pa = (f"send {b} Datum({first or '+7'}) . recv {c} {{ Result(x: Int) . rec X . "
-                  f"send {b} Datum(x) . recv {c} {{ Result(y: Int) . X }} }}")
-        else:
-            pa = f"send {b} Stop({first or 'unit'}) . end"
-        pb = (f"recv {a} {{ Datum(x: Int) . send {c} Datum(x) . rec X . recv {a} {{ "
-              f"Datum(x: Int) . send {c} Datum(x) . X, Stop(_: Unit) . send {c} Stop(unit) . end }}, "
-              f"Stop(_: Unit) . send {c} Stop(unit) . end }}")
-        pc = (f"recv {b} {{ Datum(x: Int) . send {a} Result(x) . rec X . recv {b} {{ "
-              f"Datum(x: Int) . send {a} Result(x) . X, Stop(_: Unit) . end }}, "
-              f"Stop(_: Unit) . end }}")
-        procs += [(a, pa), (b, pb), (c, pc)]
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = f"par {{ {part} || {term} }}"
-    lines = [f"global G = {term};"]
-    lines += [f"process P_{r} at {r} = {body};" for r, body in procs]
-    lines.append("session S of G = { " + ", ".join(f"{r}: P_{r}" for r, _ in procs) + " };")
-    return "\n".join(lines) + "\n"
-
-
 def workers_case(k, looping, wrong=None):
-    pf = parse_file(workers_text(k, looping, wrong), f"w{k}.smpst")
+    """W_k and its session; `wrong` replaces a_0's first payload."""
+    replaced = {"a0": workers_processes(0, looping, wrong)["a0"]} if wrong else {}
+    pf = parse_file(workers_text(k, looping, **replaced), f"w{k}.smpst")
     return build_lts(pf.globals["G"]).to_mlts(), pf.session("S")
 
 
@@ -396,7 +367,8 @@ def explore_cases():
 
 @pytest.mark.parametrize("m, sess, depth", explore_cases())
 def test_explore_agrees_with_a_naive_explorer(m, sess, depth):
-    assert explore(m, sess, depth) == naive_explore(m, sess, depth)
+    # explore's states are 1-tuples for a single Mlts.
+    assert in_ids(explore(m, sess, depth), lambda v: v[0]) == naive_explore(m, sess, depth)
 
 
 def test_explore_computes_each_local_move_once(monkeypatch):
