@@ -220,27 +220,32 @@ def cmd_wb(args) -> int:
     results = []
     if args.file.endswith(".json"):
         m = _parse_mlts_file(args.file)
-        results.append((args.file, check_well_behaved(m)))
+        results.append((args.file, [(None, v) for v in check_well_behaved(m)]))
     else:
         pf = _parse_protocol(args.file, _read(args.file))
         if not pf.globals:
             raise CliFailure(f"{args.file}: no global types declared")
         # The product is well-behaved iff every operand is (see type_session).
+        # With two or more operands, each violation names the operand whose
+        # LTS its states are of, by its index in spine order.
         for name in pf.globals:
-            violations = [v for m in _operands(pf, name, cap) for v in check_well_behaved(m)]
-            results.append((f"{args.file}:{name}", violations))
+            operands = _operands(pf, name, cap)
+            results.append((f"{args.file}:{name}", [
+                (i if len(operands) > 1 else None, v)
+                for i, m in enumerate(operands) for v in check_well_behaved(m)]))
     any_violation = any(v for _, v in results)
     if args.format == "json":
         doc = [{"subject": subject,
                 "well_behaved": not violations,
-                "violations": [v.to_json_obj() for v in violations]}
+                "violations": [v.to_json_obj() if i is None else {**v.to_json_obj(), "operand": i}
+                               for i, v in violations]}
                for subject, violations in results]
         print(json.dumps(doc, indent=2))
     else:
         for subject, violations in results:
             print(f"{subject}: well-behaved: {'no' if violations else 'yes'}")
-            for v in violations:
-                print(f"  {v}")
+            for i, v in violations:
+                print(f"  {v}" + ("" if i is None else f" (operand {i})"))
     return EXIT_SEMANTIC if any_violation else EXIT_OK
 
 

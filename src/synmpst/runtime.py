@@ -10,8 +10,8 @@ from typing import Optional, Union
 from .mlts import Classifier, Mlts, components
 from .terms import (Add, BoolLit, Eq, Expr, GlobalAction, IntLit, Mul, NatLit,
                     PEnd, PIf, PLet, PRec, PRecv, PSend, Process, Role, Session,
-                    VarRef, is_value, pretty_expr, substitute_process_rec,
-                    substitute_process_val)
+                    VarRef, is_value, iter_subprocesses, obj, pretty_expr,
+                    substitute_process_rec, substitute_process_val)
 
 
 class EvalError(Exception):
@@ -218,12 +218,99 @@ def explore(classifier: Classifier, sess: Session, max_depth: int) -> ExploreRep
     is a divergence witness. A product transition moves only its sender's
     component, so the components give the product's configurations and
     witnesses one for one, each product state as its vector.
+
+    When the session splits into at least two role groups (_role_groups),
+    each group is searched alone against its own component, and if every
+    group is sound at this depth the product's report is counted rather
+    than searched. Why that report is the product search's:
+
+    - A step of the product moves exactly one group: an internal step
+      moves one role, a communication moves two roles of one component
+      and that component's state, and no process can ever name a partner
+      outside its group. So the reachable product configurations are the
+      tuples of reachable group configurations, and a product distance is
+      the sum of the group distances.
+    - Hence the configurations within max_depth are the tuples whose
+      distances sum to at most max_depth, the convolution of the groups'
+      per-level counts; the deepest level is the sum of the groups'
+      deepest, capped at max_depth; and the search is complete iff that
+      sum is below max_depth, since a configuration at max_depth is
+      visited but never expanded.
+    - An expanded product configuration, one below max_depth, has every
+      group configuration below max_depth, so expanded in its group's
+      search. A product stuck configuration is quiescent in every group
+      and has a non-terminated process in some group, which is stuck
+      there; a preservation break is one of the moving group; a cycle of
+      internal steps projects to a closed internal walk of some group,
+      which holds a cycle. So sound groups make a sound product, whose
+      witness lists are empty.
+
+    The converse fails: a stuck group may be masked by another group that
+    never quiesces, or lie beyond the bound in the product. So a session
+    with a violating group is searched as a product, as is one that does
+    not split.
     """
     parts, owner = components(classifier)
+    groups = _role_groups(parts, owner, sess)
+    if groups:
+        searched = [_search(*components(parts[i]), group, max_depth) for i, group in groups]
+        if all(report.sound_at_depth for report, _ in searched):
+            return _product_of(searched, max_depth)
+    return _search(parts, owner, sess, max_depth)[0]
+
+
+def _role_groups(parts: tuple[Mlts, ...], owner: dict[str, int], sess: Session
+                 ) -> Optional[list[tuple[int, Session]]]:
+    """Each component's index and the sub-session of the roles it owns, for
+    at least two non-empty groups; None unless every role has a component
+    and every partner that its process names, anywhere in it, is owned by
+    that component too. Substitution adds no role, so this holds all along
+    every run."""
+    if len(parts) < 2:
+        return None
+    groups: dict[int, list[tuple[Role, Process]]] = {}
+    for role, proc in sess.entries:
+        i = owner.get(role)
+        partners = {obj(p) for p in iter_subprocesses(proc)} - {None}
+        if i is None or any(owner.get(partner) != i for partner in partners):
+            return None
+        groups.setdefault(i, []).append((role, proc))
+    if len(groups) < 2:
+        return None
+    return [(i, Session(tuple(entries))) for i, entries in sorted(groups.items())]
+
+
+def _product_of(searched: list[tuple[ExploreReport, list[int]]], max_depth: int
+                ) -> ExploreReport:
+    """The report of the product of sound groups, from each group's report
+    and count of configurations first reached at each level."""
+    counts = [1]
+    for _, levels in searched:
+        merged = [0] * min(max_depth + 1, len(counts) + len(levels) - 1)
+        for d, n in enumerate(counts):
+            for e, m in enumerate(levels[:len(merged) - d]):
+                merged[d + e] += n * m
+        counts = merged
+    total = sum(report.depth_reached for report, _ in searched)
+    return ExploreReport(
+        configs_visited=sum(counts),
+        depth_reached=min(max_depth, total),
+        complete=total < max_depth,
+        stuck_non_final=(),
+        tau_cycles=(),
+        preservation_breaks=(),
+    )
+
+
+def _search(parts: tuple[Mlts, ...], owner: dict[str, int], sess: Session, max_depth: int
+            ) -> tuple[ExploreReport, list[int]]:
+    """explore's search of every configuration, and the number of
+    configurations first reached at each level, from 1 at level 0."""
     memo: dict = {}
     initial = (sess, tuple(m.initial for m in parts))
     visited = {initial}
     frontier = [initial]
+    levels = [1]
     stuck: list[Session] = []
     breaks: list[tuple[Session, RuntimeAction, tuple[int, ...]]] = []
     tau_edges: dict[Config, list[Config]] = {}
@@ -260,8 +347,9 @@ def explore(classifier: Classifier, sess: Session, max_depth: int) -> ExploreRep
         frontier = next_frontier
         if frontier:
             depth += 1
+            levels.append(len(frontier))
 
-    return ExploreReport(
+    report = ExploreReport(
         configs_visited=len(visited),
         depth_reached=depth,
         complete=not frontier,
@@ -269,6 +357,7 @@ def explore(classifier: Classifier, sess: Session, max_depth: int) -> ExploreRep
         tau_cycles=tuple(_tau_cycles(tau_edges)),
         preservation_breaks=tuple(breaks),
     )
+    return report, levels
 
 
 def _tau_cycles(edges: dict) -> list[tuple]:

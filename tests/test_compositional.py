@@ -8,16 +8,18 @@ and exploring both visits the same configurations and finds the same
 witnesses. Every session the compositional check accepts must also explore
 clean on the product.
 """
+import json
 import random
 
 import pytest
 
 import synmpst.cli
-from conftest import CORPUS, in_ids, load_protocol, pairs_text, workers_text
+import synmpst.runtime
+from conftest import CORPUS, in_ids, load_protocol, pairs_text, session_text, workers_text
 from synmpst.cli import main
 from synmpst.generate import random_global_type
 from synmpst.lts import build_lts, par_operands
-from synmpst.mlts import Mlts, check_well_behaved
+from synmpst.mlts import Mlts, check_well_behaved, replay_violation
 from synmpst.parser import parse_file, parse_mlts
 from synmpst.runtime import explore
 from synmpst.terms import (BoolLit, GEnd, GlobalAction, GMu, GPar, GVar, IntLit,
@@ -251,11 +253,59 @@ def test_components_type_as_the_product(name, classifier, sess):
         assert explore(product, sess, 200).sound_at_depth
 
 
+# Bounds below, at and above the depth of W_k and P_n sessions, so that the
+# counted report is cut off mid-level and ends exactly at the bound.
+EXPLORE_DEPTHS = (1, 2, 5, 13, 200)
+
+
 @pytest.mark.parametrize("name, classifier, sess", GATE_CASES, ids=[c[0] for c in GATE_CASES])
 def test_components_explore_as_the_product(name, classifier, sess):
     product, parts = classifiers(classifier)
-    expected = in_ids(explore(product, sess, 200), lambda v: v[0])
-    assert in_ids(explore(parts, sess, 200), product_states(classifier)) == expected
+    for depth in EXPLORE_DEPTHS:
+        expected = in_ids(explore(product, sess, depth), lambda v: v[0])
+        assert in_ids(explore(parts, sess, depth), product_states(classifier)) == expected, depth
+
+
+# Sessions whose role groups do not give the product's report, so explore
+# searches the product: each one's text and its verdicts at FALLBACK_DEPTHS.
+FALLBACK_DEPTHS = (1, 2, 200)
+FALLBACK_CASES = {
+    # The a/b group is stuck, but p and q never let the product quiesce.
+    "masked-stuck": (session_text("par { a -> b: M(Nat) . end || mu X . p -> q: T(Unit) . X }", {
+        "a": "end", "b": "recv a { M(n: Nat) . end }",
+        "p": "rec X . send q T(unit) . X", "q": "rec X . recv p { T(_: Unit) . X }"}),
+        [True, True, True]),
+    # The a/b group is stuck at once; the product only after p -> q, which
+    # is beyond depth 1.
+    "stuck-beyond-the-bound": (session_text("par { a -> b: M(Nat) . end || p -> q: T(Unit) . end }", {
+        "a": "end", "b": "recv a { M(n: Nat) . end }",
+        "p": "send q T(unit) . end", "q": "recv p { T(_: Unit) . end }"}),
+        [True, False, False]),
+    # x sends to y of the other operand, which its component cannot follow.
+    # Searched alone, each group loops for ever and never quiesces, so only
+    # the partner check keeps it from passing as sound.
+    "cross-operand-partner": (session_text(
+        "par { mu X . a -> b { M(Unit) . X, S(Unit) . a -> x: Z(Unit) . end } "
+        "|| mu Y . p -> q { T(Unit) . Y, S(Unit) . p -> y: Z(Unit) . end } }", {
+            "a": "rec X . send b M(unit) . X",
+            "b": "rec X . recv a { M(_: Unit) . X, S(_: Unit) . end }",
+            "x": "send y W(unit) . end",
+            "p": "rec Y . send q T(unit) . Y",
+            "q": "rec Y . recv p { T(_: Unit) . Y, S(_: Unit) . end }",
+            "y": "recv x { W(_: Unit) . end }"}),
+        [False, False, False]),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_explore_falls_back_to_the_product(case):
+    text, verdicts = FALLBACK_CASES[case]
+    g, sess = parsed(text)
+    product, parts = classifiers(g)
+    for depth, sound in zip(FALLBACK_DEPTHS, verdicts):
+        expected = in_ids(explore(product, sess, depth), lambda v: v[0])
+        assert in_ids(explore(parts, sess, depth), product_states(g)) == expected, depth
+        assert expected.sound_at_depth == sound, depth
 
 
 def test_looping_w4_types_per_operand():
@@ -290,11 +340,19 @@ def test_wb_rejects_the_product_iff_an_operand_is_rejected(tmp_path, capsys, def
     product, parts = classifiers(g)
     assert check_well_behaved(product)
     assert [bool(check_well_behaved(c)) for c in parts] == [False, True]
-    # `wb` lists each operand's violations in spine order.
+    # `wb` lists each operand's violations in spine order, each naming its
+    # operand, whose LTS its states are of.
     path = tmp_path / "pair.smpst"
     path.write_text(f"global G = {pretty_global(g)};\n")
-    lines = [f"{path}:G: well-behaved: no"] + [f"  {v}" for c in parts for v in check_well_behaved(c)]
+    violations = [(i, v) for i, c in enumerate(parts) for v in check_well_behaved(c)]
+    lines = [f"{path}:G: well-behaved: no"] + [f"  {v} (operand {i})" for i, v in violations]
     assert run_cli(capsys, "wb", str(path)) == (1, "\n".join(lines) + "\n", "")
+    code, out, err = run_cli(capsys, "wb", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [{"subject": f"{path}:G", "well_behaved": False, "violations": [
+        {**v.to_json_obj(), "operand": i} for i, v in violations]}]
+    for i, v in violations:
+        assert replay_violation(parts[i], v)
 
 
 def test_explore_breaks_on_a_sender_no_component_has():
@@ -363,12 +421,32 @@ def test_lts_of_w6_exceeds_the_cap(tmp_path, capsys):
 
 
 def test_explore_of_w6_runs_per_operand(tmp_path, capsys):
-    # Each a_i stops at once: 3^6 configurations, where the product has 5^6 states.
-    path = tmp_path / "w6.smpst"
-    path.write_text(workers_text(6, False))
-    code, out, err = run_cli(capsys, "explore", str(path))
-    assert (code, err) == (0, "")
-    assert out.startswith("session S: explored 729 configurations to depth 12\n")
+    # Stop-first, each a_i stops at once: 3^6 configurations, where the
+    # product has 5^6 states. Looping, each operand has 16 configurations,
+    # and their 16^6 interleavings are counted, not visited.
+    for looping, configs, depth in ((False, 729, 12), (True, 16777216, 54)):
+        path = tmp_path / "w6.smpst"
+        path.write_text(workers_text(6, looping))
+        code, out, err = run_cli(capsys, "explore", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"session S: explored {configs} configurations to depth {depth}\n")
+
+
+def test_explore_of_looping_w4_steps_each_operand_alone(monkeypatch):
+    calls = []
+    step = synmpst.runtime.session_step
+
+    def counted(sess, memo=None):
+        calls.append(sess)
+        return step(sess, memo)
+
+    monkeypatch.setattr(synmpst.runtime, "session_step", counted)
+    g, sess = parsed(workers_text(4, True))
+    product, parts = classifiers(g)
+    for classifier, stepped in ((parts, 4 * 16), (product, 16 ** 4)):
+        calls.clear()
+        assert explore(classifier, sess, 200).configs_visited == 16 ** 4
+        assert len(calls) == stepped
 
 
 @pytest.mark.parametrize("command, built", [
