@@ -246,15 +246,19 @@ def explore(classifier: Classifier, sess: Session, max_depth: int) -> ExploreRep
       witness lists are empty.
 
     The converse fails: a stuck group may be masked by another group that
-    never quiesces, or lie beyond the bound in the product. So a session
-    with a violating group is searched as a product, as is one that does
-    not split.
+    never quiesces, or lie beyond the bound in the product. So the groups
+    are searched in order until one violates, and then the session is
+    searched as a product, as is one that does not split.
     """
     parts, owner = components(classifier)
     groups = _role_groups(parts, owner, sess)
     if groups:
-        searched = [_search(*components(parts[i]), group, max_depth) for i, group in groups]
-        if all(report.sound_at_depth for report, _ in searched):
+        searched = []
+        for i, group in groups:
+            searched.append(_search(*components(parts[i]), group, max_depth))
+            if not searched[-1][0].sound_at_depth:
+                break
+        else:
             return _product_of(searched, max_depth)
     return _search(parts, owner, sess, max_depth)[0]
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Optional
+from itertools import islice
+from operator import attrgetter
+from typing import Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -350,6 +352,54 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
+# Structure shared by global types and processes: both have the same guarded
+# recursion, so one walk serves both syntaxes.
+
+Term = Union[GlobalType, Process]
+
+_cont = attrgetter("cont")
+
+
+def _with_conts(t: Union[GComm, PRecv], conts: tuple[Term, ...]) -> Term:
+    return replace(t, branches=tuple(replace(b, cont=c) for b, c in zip(t.branches, conts)))
+
+
+# Each constructor's immediate sub-terms in source order, and the term rebuilt
+# from new ones in that order. The walkers take one view per node, so a view
+# is looked up by exact type rather than found by a chain of isinstance tests.
+_SHAPES = {
+    **dict.fromkeys((GComm, PRecv), (lambda t: tuple(map(_cont, t.branches)), _with_conts)),
+    **dict.fromkeys((PSend, PLet), (lambda t: (t.cont,), lambda t, s: replace(t, cont=s[0]))),
+    **dict.fromkeys((GMu, PRec), (lambda t: (t.body,), lambda t, s: replace(t, body=s[0]))),
+    GPar: (attrgetter("left", "right"), lambda t, s: replace(t, left=s[0], right=s[1])),
+    PIf: (attrgetter("then", "orelse"), lambda t, s: replace(t, then=s[0], orelse=s[1])),
+    **dict.fromkeys((GVar, GEnd, PVar, PEnd), (lambda t: (), lambda t, s: t)),
+}
+
+
+def _subterms(t: Term) -> tuple[Term, ...]:
+    """The immediate sub-terms of a global type or process, in source order."""
+    shape = _SHAPES.get(type(t))
+    if shape is None:
+        raise TypeError(f"not a global type or process: {t!r}")
+    return shape[0](t)
+
+
+def _rebuild(t: Term, subterms: tuple[Term, ...]) -> Term:
+    """t with its immediate sub-terms replaced, in the order of _subterms."""
+    return _SHAPES[type(t)][1](t, subterms)
+
+
+def _preorder(t: Term) -> Iterator[Term]:
+    """t and every sub-term in it, parents before children, in source order."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(_subterms(t)))
+
+
+# ---------------------------------------------------------------------------
 # obj and role extraction
 
 
@@ -363,74 +413,35 @@ def obj(p: Process) -> Optional[Role]:
 
 
 def term_nodes(g: GlobalType, limit: int) -> int:
-    """Node count of a global type, clamped at limit + 1 (iterative)."""
-    count = 0
-    stack = [g]
-    while stack:
-        count += 1
-        if count > limit:
-            return count
-        t = stack.pop()
-        if isinstance(t, GComm):
-            stack.extend(b.cont for b in t.branches)
-        elif isinstance(t, GMu):
-            stack.append(t.body)
-        elif isinstance(t, GPar):
-            stack.append(t.left)
-            stack.append(t.right)
-    return count
+    """Node count of a global type, clamped at limit + 1."""
+    return sum(1 for _ in islice(_preorder(g), limit + 1))
 
 
 def roles_of(g: GlobalType) -> frozenset[Role]:
     """All roles occurring syntactically as a sender or receiver."""
-    if isinstance(g, GComm):
-        acc = {g.sender, g.receiver}
-        for b in g.branches:
-            acc |= roles_of(b.cont)
-        return frozenset(acc)
-    if isinstance(g, GMu):
-        return roles_of(g.body)
-    if isinstance(g, GPar):
-        return roles_of(g.left) | roles_of(g.right)
-    return frozenset()
+    return frozenset(role for t in _preorder(g) if isinstance(t, GComm)
+                     for role in (t.sender, t.receiver))
 
 
 # ---------------------------------------------------------------------------
 # Free variables and substitution
 
 
-def free_global_vars(g: GlobalType) -> frozenset[RecVarName]:
-    if isinstance(g, GVar):
-        return frozenset((g.var,))
-    if isinstance(g, GMu):
-        return free_global_vars(g.body) - {g.var}
-    if isinstance(g, GComm):
-        out: frozenset[RecVarName] = frozenset()
-        for b in g.branches:
-            out |= free_global_vars(b.cont)
-        return out
-    if isinstance(g, GPar):
-        return free_global_vars(g.left) | free_global_vars(g.right)
-    return frozenset()
-
-
-def free_process_rec_vars(p: Process) -> frozenset[RecVarName]:
-    if isinstance(p, PVar):
-        return frozenset((p.var,))
-    if isinstance(p, PRec):
-        return free_process_rec_vars(p.body) - {p.var}
-    if isinstance(p, PSend):
-        return free_process_rec_vars(p.cont)
-    if isinstance(p, PRecv):
-        out: frozenset[RecVarName] = frozenset()
-        for b in p.branches:
-            out |= free_process_rec_vars(b.cont)
-        return out
-    if isinstance(p, PLet):
-        return free_process_rec_vars(p.cont)
-    if isinstance(p, PIf):
-        return free_process_rec_vars(p.then) | free_process_rec_vars(p.orelse)
-    return frozenset()
+def _free_rec_vars(t: Term) -> frozenset[RecVarName]:
+    """The recursion variables occurring free in a global type or process."""
+    free: set[RecVarName] = set()
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        if isinstance(t, (GVar, PVar)):
+            if t.var not in bound:
+                free.add(t.var)
+            continue
+        if isinstance(t, (GMu, PRec)):
+            bound = bound | {t.var}
+        for s in _subterms(t):
+            stack.append((s, bound))
+    return frozenset(free)
 
 
 def free_expr_vars(e: Expr) -> frozenset[VarName]:
@@ -467,58 +478,34 @@ def _fresh(name: str, avoid: frozenset[str]) -> str:
     return candidate
 
 
-def substitute_global(g: GlobalType, x: RecVarName, replacement: GlobalType) -> GlobalType:
-    """Capture-avoiding substitution of free occurrences of x in g."""
-    if isinstance(g, GVar):
-        return replacement if g.var == x else g
-    if isinstance(g, GEnd):
-        return g
-    if isinstance(g, GComm):
-        return replace(g, branches=tuple(
-            replace(b, cont=substitute_global(b.cont, x, replacement)) for b in g.branches))
-    if isinstance(g, GPar):
-        return replace(g,
-                       left=substitute_global(g.left, x, replacement),
-                       right=substitute_global(g.right, x, replacement))
-    if isinstance(g, GMu):
-        if g.var == x:
-            return g
-        if g.var in free_global_vars(replacement):
-            avoid = free_global_vars(replacement) | free_global_vars(g.body) | {x}
-            renamed = _fresh(g.var, avoid)
-            body = substitute_global(g.body, g.var, GVar(renamed))
-            return replace(g, var=renamed, body=substitute_global(body, x, replacement))
-        return replace(g, body=substitute_global(g.body, x, replacement))
-    raise TypeError(f"not a global type: {g!r}")
+def _substitute_rec(t: Term, x: RecVarName, replacement: Term) -> Term:
+    """Capture-avoiding substitution of replacement for the free occurrences
+    of the recursion variable x in a global type or process. The free
+    variables of replacement are computed once, at the first binder met."""
+    avoid: Optional[frozenset[RecVarName]] = None
+
+    def walk(t: Term) -> Term:
+        nonlocal avoid
+        if isinstance(t, (GVar, PVar)):
+            return replacement if t.var == x else t
+        if isinstance(t, (GMu, PRec)):
+            if t.var == x:
+                return t
+            if avoid is None:
+                avoid = _free_rec_vars(replacement)
+            if t.var in avoid:
+                renamed = _fresh(t.var, avoid | _free_rec_vars(t.body) | {x})
+                var = GVar(renamed) if isinstance(t, GMu) else PVar(renamed)
+                return replace(t, var=renamed, body=walk(_substitute_rec(t.body, t.var, var)))
+        return _rebuild(t, tuple(walk(s) for s in _subterms(t)))
+
+    return walk(t)
 
 
-def substitute_process_rec(p: Process, x: RecVarName, replacement: Process) -> Process:
-    """Capture-avoiding substitution of the recursion variable x in p."""
-    if isinstance(p, PVar):
-        return replacement if p.var == x else p
-    if isinstance(p, PEnd):
-        return p
-    if isinstance(p, PSend):
-        return replace(p, cont=substitute_process_rec(p.cont, x, replacement))
-    if isinstance(p, PRecv):
-        return replace(p, branches=tuple(
-            replace(b, cont=substitute_process_rec(b.cont, x, replacement)) for b in p.branches))
-    if isinstance(p, PLet):
-        return replace(p, cont=substitute_process_rec(p.cont, x, replacement))
-    if isinstance(p, PIf):
-        return replace(p,
-                       then=substitute_process_rec(p.then, x, replacement),
-                       orelse=substitute_process_rec(p.orelse, x, replacement))
-    if isinstance(p, PRec):
-        if p.var == x:
-            return p
-        if p.var in free_process_rec_vars(replacement):
-            avoid = free_process_rec_vars(replacement) | free_process_rec_vars(p.body) | {x}
-            renamed = _fresh(p.var, avoid)
-            body = substitute_process_rec(p.body, p.var, PVar(renamed))
-            return replace(p, var=renamed, body=substitute_process_rec(body, x, replacement))
-        return replace(p, body=substitute_process_rec(p.body, x, replacement))
-    raise TypeError(f"not a process: {p!r}")
+# Each public name says which syntax its caller holds.
+free_global_vars = free_process_rec_vars = _free_rec_vars
+substitute_global = substitute_process_rec = _substitute_rec
+iter_subprocesses = _preorder
 
 
 def substitute_expr(e: Expr, x: VarName, v: Expr) -> Expr:
@@ -614,8 +601,9 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
                                        "par operands share roles: " + ", ".join(sorted(overlap)), t.span))
             # A recursion variable bound outside a par would re-introduce the
             # whole type inside one operand on unfolding, breaking the role
-            # disjointness the rule relies on.
-            crossing = (free_global_vars(t.left) | free_global_vars(t.right)) & bound
+            # disjointness the rule relies on. A par outside every binder,
+            # such as each one on a top-level par spine, has none to check.
+            crossing = bound and (free_global_vars(t.left) | free_global_vars(t.right)) & bound
             if crossing:
                 out.append(WfViolation("rec-crosses-par",
                                        "recursion variable bound outside par occurs inside: "
@@ -780,42 +768,15 @@ def summarize_process(p: Process, limit: int = 48) -> str:
     return text[: limit - 1] + "…"
 
 
-def iter_subprocesses(p: Process) -> Iterator[Process]:
-    yield p
-    if isinstance(p, PSend):
-        yield from iter_subprocesses(p.cont)
-    elif isinstance(p, PRecv):
-        for b in p.branches:
-            yield from iter_subprocesses(b.cont)
-    elif isinstance(p, PLet):
-        yield from iter_subprocesses(p.cont)
-    elif isinstance(p, PIf):
-        yield from iter_subprocesses(p.then)
-        yield from iter_subprocesses(p.orelse)
-    elif isinstance(p, PRec):
-        yield from iter_subprocesses(p.body)
-
-
 def is_message_guarded(body: Process, var: RecVarName) -> bool:
     """True when every occurrence of var in body sits under a send or receive."""
-
-    def walk(t: Process, guarded: bool) -> bool:
+    stack = [(body, False)]
+    while stack:
+        t, guarded = stack.pop()
         if isinstance(t, PVar):
-            return guarded or t.var != var
-        if isinstance(t, PEnd):
-            return True
-        if isinstance(t, PRec):
-            if t.var == var:
-                return True
-            return walk(t.body, guarded)
-        if isinstance(t, PSend):
-            return walk(t.cont, True)
-        if isinstance(t, PRecv):
-            return all(walk(b.cont, True) for b in t.branches)
-        if isinstance(t, PLet):
-            return walk(t.cont, guarded)
-        if isinstance(t, PIf):
-            return walk(t.then, guarded) and walk(t.orelse, guarded)
-        raise TypeError(f"not a process: {t!r}")
-
-    return walk(body, False)
+            if t.var == var and not guarded:
+                return False
+        elif not (isinstance(t, PRec) and t.var == var):
+            guarded = guarded or isinstance(t, (PSend, PRecv))
+            stack.extend((s, guarded) for s in _subterms(t))
+    return True

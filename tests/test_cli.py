@@ -207,6 +207,76 @@ def test_explore_unsound_session(capsys, tmp_path):
     assert "violations found" in out
 
 
+def test_explore_json_output(capsys):
+    assert run_cli(capsys, "explore", RING, "--format", "json") == (0, """{
+  "session": "RingDemo",
+  "configs_visited": 4,
+  "depth_reached": 3,
+  "complete": true,
+  "stuck_non_final": 0,
+  "tau_cycles": 0,
+  "preservation_breaks": 0,
+  "verdict": "sound at this depth"
+}
+""", "")
+
+
+# mapreduce's seed-0 run, with the internal steps of m, w1 and w2.
+MAPREDUCE_RUN = {
+    "text": """session MapReduceDemo, seed 0: 10 actions
+  [m] tau
+m -> w1: Datum(Int)
+m -> w2: Datum(Int)
+w1 -> r: Result(Int)
+  [w1] tau
+w2 -> r: Result(Int)
+  [w2] tau
+r -> m: Stop(Unit)
+m -> w1: Stop(Unit)
+m -> w2: Stop(Unit)
+""",
+    "json": """{"kind": "tau", "role": "m"}
+{"kind": "comm", "from": "m", "to": "w1", "label": "Datum", "payload": "Int"}
+{"kind": "comm", "from": "m", "to": "w2", "label": "Datum", "payload": "Int"}
+{"kind": "comm", "from": "w1", "to": "r", "label": "Result", "payload": "Int"}
+{"kind": "tau", "role": "w1"}
+{"kind": "comm", "from": "w2", "to": "r", "label": "Result", "payload": "Int"}
+{"kind": "tau", "role": "w2"}
+{"kind": "comm", "from": "r", "to": "m", "label": "Stop", "payload": "Unit"}
+{"kind": "comm", "from": "m", "to": "w1", "label": "Stop", "payload": "Unit"}
+{"kind": "comm", "from": "m", "to": "w2", "label": "Stop", "payload": "Unit"}
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", MAPREDUCE_RUN)
+def test_simulate_shows_internal_steps(capsys, fmt):
+    assert run_cli(capsys, "simulate", str(CORPUS / "mapreduce.smpst"), "--format", fmt) \
+        == (0, MAPREDUCE_RUN[fmt], "")
+
+
+SELF_COMMUNICATION = "global G = a -> a: M(Int) . end;\n"
+
+
+@pytest.mark.parametrize("command, options, text, message", [
+    ("explore", ["--session", "Nope"], None, "{path}: unknown session Nope"),
+    ("lts", [], "process P at a = end;\n", "{path}: no global types declared"),
+    ("wb", [], "process P at a = end;\n", "{path}: no global types declared"),
+    ("lts", [], SELF_COMMUNICATION,
+     "{path}:1:12: error: global G: self-communication: role a sends to itself"),
+    ("check", [], SELF_COMMUNICATION,
+     "{path}:1:12: error: global G: self-communication: role a sends to itself"),
+], ids=["explore-unknown-session", "lts-no-globals", "wb-no-globals",
+        "lts-ill-formed", "check-ill-formed"])
+def test_input_errors_name_the_file(capsys, tmp_path, command, options, text, message):
+    path = RING
+    if text is not None:
+        path = str(tmp_path / "p.smpst")
+        pathlib.Path(path).write_text(text)
+    assert run_cli(capsys, command, path, *options) \
+        == (2, "", f"synmpst: error: {message.format(path=path)}\n")
+
+
 def test_state_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYNMPST_STATE_CAP", "2")
     code, _, err = run_cli(capsys, "check", RING)

@@ -432,7 +432,9 @@ def test_explore_of_w6_runs_per_operand(tmp_path, capsys):
         assert out.startswith(f"session S: explored {configs} configurations to depth {depth}\n")
 
 
-def test_explore_of_looping_w4_steps_each_operand_alone(monkeypatch):
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The sessions that runtime.session_step is called on, in order."""
     calls = []
     step = synmpst.runtime.session_step
 
@@ -441,12 +443,26 @@ def test_explore_of_looping_w4_steps_each_operand_alone(monkeypatch):
         return step(sess, memo)
 
     monkeypatch.setattr(synmpst.runtime, "session_step", counted)
+    return calls
+
+
+def test_explore_of_looping_w4_steps_each_operand_alone(step_calls):
     g, sess = parsed(workers_text(4, True))
     product, parts = classifiers(g)
     for classifier, stepped in ((parts, 4 * 16), (product, 16 ** 4)):
-        calls.clear()
+        step_calls.clear()
         assert explore(classifier, sess, 200).configs_visited == 16 ** 4
-        assert len(calls) == stepped
+        assert len(step_calls) == stepped
+
+
+@pytest.mark.parametrize("k, stepped", [(3, 257), (4, 4097)])
+def test_explore_stops_at_the_first_violating_group(step_calls, k, stepped):
+    # With a0 = end, operand 0's group is stuck at once: one step, then the
+    # product search of 16^(k-1) configurations; no other group is searched.
+    g, sess = parsed(workers_text(k, True, a0="end"))
+    report = explore(classifiers(g)[1], sess, 200)
+    assert len(step_calls) == stepped
+    assert (report.configs_visited, report.sound_at_depth) == (16 ** (k - 1), True)
 
 
 @pytest.mark.parametrize("command, built", [

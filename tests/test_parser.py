@@ -161,6 +161,23 @@ def test_round_trip_all_corpus_files():
         assert again.processes == pf.processes
 
 
+def test_if_and_false_round_trip_and_are_checked():
+    text = ("process P at a = rec X . recv b { N(n: Nat) . if n == 0 "
+            "then send b Done(false) . end else send b More(true) . X };")
+    pf = parse_file(text, allow_unresolved_globals=True)
+    assert isinstance(pf, ProtocolFile) and not pf.diagnostics
+    printed = pretty_file(pf)
+    assert _token_stream(printed, "p") == _token_stream(text, "o")
+    again = parse_file(printed, "printed", allow_unresolved_globals=True)
+    assert isinstance(again, ProtocolFile) and again.processes == pf.processes
+    bad = parse_file("process P at a = rec X . if m then end else X;", "bad.smpst",
+                     allow_unresolved_globals=True)
+    assert [str(d) for d in bad.diagnostics] == [
+        "bad.smpst:1:29: error: process P: unbound-var: data variable m is unbound",
+        "bad.smpst:1:45: error: process P: not-message-guarded: "
+        "recursion variable X occurs under no send/receive"]
+
+
 def test_string_escapes_round_trip():
     text = r'process P at a = send b L("he \"quoted\" \\ here") . end;'
     pf = parse_file(text, allow_unresolved_globals=True)

@@ -347,6 +347,18 @@ session S of G = { a: A, b: B, c: C };
 """
 
 
+# a's loop body holds a let, an if and a nested rec, so every unfolding of
+# X substitutes through all three.
+NESTED_LOOP = """
+global G = mu X . a -> b { L(Nat) . X, M(Nat) . X };
+process A at a = rec X . let n = 1 in if n == 1
+    then send b L(n) . rec Y . send b M(n + 1) . if n == 2 then Y else X
+    else send b M(n) . X;
+process B at b = rec X . recv a { L(x: Nat) . X, M(x: Nat) . X };
+session S of G = { a: A, b: B };
+"""
+
+
 def explore_cases():
     yield from corpus_cases()
     for k in (1, 2):
@@ -356,6 +368,8 @@ def explore_cases():
     yield pytest.param(*workers_case(2, True), 5, id="w2_loop_bounded")
     pf = parse_file(REUSED_SEND, "reused_send.smpst")
     yield pytest.param(build_lts(pf.globals["G"]).to_mlts(), pf.session("S"), 50, id="reused_send")
+    pf = parse_file(NESTED_LOOP, "nested_loop.smpst")
+    yield pytest.param(build_lts(pf.globals["G"]).to_mlts(), pf.session("S"), 200, id="nested_loop")
     yield pytest.param(*workers_case(2, True, '"x"'), 200, id="w2_loop_payload_mutant")
     yield pytest.param(*workers_case(2, False, "true"), 200, id="w2_stop_payload_mutant")
     ring = build_lts(load_protocol("ring.smpst").globals["Ring"]).to_mlts()
@@ -405,6 +419,21 @@ def test_explore_computes_each_local_move_once(monkeypatch):
     assert calls["substitute_process_rec"] == sum(isinstance(p, PRec) for p in procs) == 9
     assert calls["substitute_process_val"] == \
         sum(isinstance(p, PLet) for p in procs) + len(rendezvous) == 15
+
+
+def test_a_loop_through_let_if_and_nested_rec_comes_back_to_itself():
+    pf = parse_file(NESTED_LOOP, "nested_loop.smpst")
+    sess = pf.session("S")
+    # a unfolds X, lets, takes the if, sends L, unfolds Y, sends M and
+    # leaves Y for X, which the first unfolding replaced by a's whole loop.
+    trace = run(sess, 0, 10)
+    assert [str(a) for a in trace.actions] == [
+        "tau@b", "tau@a", "tau@a", "tau@a", "a->b:L(Nat)",
+        "tau@b", "tau@a", "a->b:M(Nat)", "tau@b", "tau@a"]
+    assert dict(trace.terminal.entries)["a"] == pf.processes["A"][1]
+    report = explore(build_lts(pf.globals["G"]).to_mlts(), sess, 200)
+    assert (report.configs_visited, report.depth_reached, report.complete,
+            report.sound_at_depth) == (14, 9, True, True)
 
 
 def test_session_step_memo_leaves_steps_unchanged():

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synmpst.terms import (GBranch, GComm, GEnd, GMu, GPar, GVar, NatLit,
-                           PayloadType, PEnd, PRec, PRecv, PSend, PVar, PLet,
+from synmpst.terms import (Eq, GBranch, GComm, GEnd, GMu, GPar, GVar, NatLit,
+                           PayloadType, PEnd, PIf, PRec, PRecv, PSend, PVar, PLet,
                            RecvBranch, Session, VarRef, Mul,
                            check_wellformed_global, check_wellformed_process,
                            free_data_vars, free_global_vars,
-                           is_message_guarded, obj,
+                           free_process_rec_vars, is_message_guarded,
+                           iter_subprocesses, obj,
                            pretty_process, roles_of,
                            substitute_global, substitute_process_rec,
                            substitute_process_val)
@@ -62,6 +63,54 @@ def test_substitute_process_rec_dave_unfolding():
     dave = PRec("X", PRecv("b", (RecvBranch("Foo", "x", UNIT, PVar("X")),)))
     unfolded = substitute_process_rec(dave.body, "X", dave)
     assert unfolded == PRecv("b", (RecvBranch("Foo", "x", UNIT, dave),))
+
+
+# rec Y . recv b { R(m: Nat) . X, S(m: Nat) . Y }
+INNER = PRec("Y", PRecv("b", (RecvBranch("R", "m", NAT, PVar("X")),
+                              RecvBranch("S", "m", NAT, PVar("Y")))))
+# let n = 1 in if n == 1 then send b L(n) . <INNER> else X
+LOOP_BODY = PLet("n", NatLit(1), PIf(Eq(VarRef("n"), NatLit(1)),
+                                     PSend("b", "L", VarRef("n"), INNER), PVar("X")))
+
+
+def test_substitute_process_rec_avoids_capture_through_let_if_and_rec():
+    # X := Y must rename the inner binder Y, not capture the free Y.
+    renamed = PRec("Y_1", PRecv("b", (RecvBranch("R", "m", NAT, PVar("Y")),
+                                      RecvBranch("S", "m", NAT, PVar("Y_1")))))
+    out = substitute_process_rec(LOOP_BODY, "X", PVar("Y"))
+    assert out == PLet("n", NatLit(1), PIf(Eq(VarRef("n"), NatLit(1)),
+                                           PSend("b", "L", VarRef("n"), renamed), PVar("Y")))
+    assert free_process_rec_vars(out) == {"Y"}
+    # Unfolding the closed loop renames nothing.
+    loop = PRec("X", LOOP_BODY)
+    inner = PRec("Y", PRecv("b", (RecvBranch("R", "m", NAT, loop),
+                                  RecvBranch("S", "m", NAT, PVar("Y")))))
+    assert substitute_process_rec(LOOP_BODY, "X", loop) == PLet(
+        "n", NatLit(1), PIf(Eq(VarRef("n"), NatLit(1)), PSend("b", "L", VarRef("n"), inner), loop))
+
+
+def test_process_walkers_descend_through_let_if_and_rec():
+    assert free_process_rec_vars(LOOP_BODY) == {"X"}
+    assert free_process_rec_vars(INNER.body) == {"X", "Y"}
+    assert free_process_rec_vars(PRec("X", LOOP_BODY)) == frozenset()
+    assert [type(p).__name__ for p in iter_subprocesses(PRec("X", LOOP_BODY))] == [
+        "PRec", "PLet", "PIf", "PSend", "PRec", "PRecv", "PVar", "PVar", "PVar"]
+    # X occurs bare in the else branch; Y only under the receive.
+    assert not is_message_guarded(LOOP_BODY, "X")
+    assert is_message_guarded(LOOP_BODY, "Y")
+    guarded = PLet("n", NatLit(1), PIf(VarRef("n"), PSend("b", "L", VarRef("n"), PVar("X")),
+                                       PRec("X", PVar("X"))))
+    assert is_message_guarded(guarded, "X")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: substitute_global(NatLit(1), "X", GEnd()),
+    lambda: substitute_process_rec(PSend("b", "L", NatLit(1), NatLit(2)), "X", PEnd()),
+    lambda: is_message_guarded(PIf(VarRef("c"), PEnd(), NatLit(2)), "X"),
+], ids=["substitute_global", "substitute_process_rec", "is_message_guarded"])
+def test_walkers_reject_a_non_term(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_substitute_process_val_in_payload():

@@ -5,7 +5,7 @@ import pytest
 from conftest import GOLDEN, load_protocol
 from synmpst.lts import build_lts, reach_without
 from synmpst.mlts import Mlts, check_well_behaved
-from synmpst.terms import (Add, BoolLit, Eq, GlobalAction, NatLit, PayloadType,
+from synmpst.terms import (Add, BoolLit, Eq, GlobalAction, IntLit, NatLit, PayloadType,
                            PEnd, PRec, PRecv, PSend, PVar, RecvBranch, Session,
                            StrLit, UnitLit, VarRef)
 from synmpst.typecheck import (EXPR_ILL_TYPED, MISSING_RECV_BRANCH,
@@ -364,6 +364,29 @@ def test_judgement_memo_shares_converging_branches(monkeypatch, checker, n, appl
     monkeypatch.setattr(Checker, "_apply", counted)
     assert isinstance(checker(m).check_process("r", sends), Derivation)
     assert len(calls) == applications
+
+
+def test_judgement_memo_keeps_failures(monkeypatch):
+    # Both targets of a's send skip to the obligation s3, where the second
+    # send fails: the memo re-raises that failure for the second target
+    # instead of applying the judgement again.
+    send_m, n, k = (act(s, r, label, PayloadType.INT)
+                    for s, r, label in (("a", "b", "M"), ("c", "d", "N"), ("a", "e", "K")))
+    m = Mlts(0, tuple(f"s{s}" for s in range(5)), frozenset({
+        (0, send_m, 1), (0, send_m, 2), (1, n, 3), (2, n, 3), (3, k, 4)}))
+    second = PSend("b", "L", IntLit(1), PEnd())
+    calls = []
+    apply = Checker._apply
+
+    def counted(self, gamma, delta, role, p, s):
+        calls.append((p, s))
+        return apply(self, gamma, delta, role, p, s)
+
+    monkeypatch.setattr(Checker, "_apply", counted)
+    err = type_process(m, (), (), "a", PSend("b", "M", IntLit(1), second), 0)
+    assert isinstance(err, TcError)
+    assert (err.kind, err.state) == (UNEXPECTED_SEND, 3)
+    assert calls.count((second, 3)) == 1
 
 
 def test_forward_admissibility_on_ring(ring_pf, ring_m):
