@@ -10,28 +10,30 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, TypeVar, Union
 
 from .mlts import Mlts
-from .terms import (Add, BoolLit, Eq, Expr, GBranch, GComm, GEnd, GlobalAction,
-                    GlobalType, GMu, GPar, GVar, IntLit, Mul, NatLit,
+from .terms import (BINARY_OPS, KEYWORD_LITERALS, Expr, GBranch, GComm, GEnd,
+                    GlobalAction, GlobalType, GMu, GPar, GVar, IntLit, NatLit,
                     PayloadType, PAYLOAD_TYPES, PEnd, PIf, PLet, PRec, PRecv,
                     Process, PSend, PVar, RecvBranch, Role, Session,
-                    SourceSpan, StrLit, UnitLit, VarRef,
+                    SourceSpan, StrLit, VarRef,
                     check_wellformed_global, check_wellformed_process,
                     pretty_expr, pretty_global, pretty_process)
 
 KEYWORDS = {
     "global", "process", "session", "at", "of", "mu", "end", "par",
-    "send", "recv", "let", "in", "if", "then", "else", "rec",
-    "true", "false", "unit",
+    "send", "recv", "let", "in", "if", "then", "else", "rec", *KEYWORD_LITERALS,
 }
 
-_SYMBOLS = ["->", "==", "||", "(", ")", "{", "}", "[", "]",
-            ".", ",", ":", ";", "=", "+", "*"]
+_OPERATORS = {op.symbol: op for op in BINARY_OPS.values()}
 
-_EXPR_ENDERS = {"NAT", "INT", "STRING", "LOWER", ")", "true", "false", "unit"}
+# Longest first, so that "==" is not read as "=" twice.
+_SYMBOLS = sorted(["->", "||", "(", ")", "{", "}", "[", "]", ".", ",", ":", ";", "=", *_OPERATORS],
+                  key=len, reverse=True)
+
+_EXPR_ENDERS = {"NAT", "INT", "STRING", "LOWER", ")", *KEYWORD_LITERALS}
 
 _T = TypeVar("_T")
 
@@ -101,9 +103,10 @@ def tokenize(text: str, path: str) -> list[Token]:
                     raise error("unsupported escape in string literal", col + len(lexeme))
                 raise error("unterminated string literal", col)
             tokens.append(Token("STRING", _ESCAPE_RE.sub(r"\1", lexeme[1:-1]), line, col))
-        elif kind == "int" and lexeme[0] == "+" and tokens and tokens[-1].kind in _EXPR_ENDERS:
-            # A + directly after an expression is the binary operator.
-            tokens += [Token("+", "+", line, col), Token("NAT", lexeme[1:], line, col + 1)]
+        elif kind == "int" and lexeme[0] in _OPERATORS and tokens and tokens[-1].kind in _EXPR_ENDERS:
+            # A sign directly after an expression is the binary operator it spells.
+            sign = lexeme[0]
+            tokens += [Token(sign, sign, line, col), Token("NAT", lexeme[1:], line, col + 1)]
         elif kind in ("int", "nat"):
             tokens.append(Token(kind.upper(), lexeme, line, col))
         elif kind == "symbol":
@@ -385,30 +388,13 @@ class _Parser:
         return RecvBranch(label, binder, annot, self.proc())
 
     # -- expressions -----------------------------------------------------------
-    # Precedence: == lowest, then +, then *; all left-associative.
 
-    def expr(self) -> Expr:
-        left = self.additive()
-        while self.at("=="):
-            tok = self.advance()
-            right = self.additive()
-            left = Eq(left, right, span=tok.span(self.path))
-        return left
-
-    def additive(self) -> Expr:
-        left = self.multiplicative()
-        while self.at("+"):
-            tok = self.advance()
-            right = self.multiplicative()
-            left = Add(left, right, span=tok.span(self.path))
-        return left
-
-    def multiplicative(self) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
+        """An expression whose unbracketed operators bind at least as tightly as level."""
         left = self.atom()
-        while self.at("*"):
+        while (op := _OPERATORS.get(self.peek().kind)) is not None and op.level >= level:
             tok = self.advance()
-            right = self.atom()
-            left = Mul(left, right, span=tok.span(self.path))
+            left = op.build(left, self.expr(op.level + 1), span=tok.span(self.path))
         return left
 
     def atom(self) -> Expr:
@@ -424,15 +410,9 @@ class _Parser:
         if tok.kind == "STRING":
             self.advance()
             return StrLit(tok.text, span=tok.span(self.path))
-        if tok.kind == "true":
+        if tok.kind in KEYWORD_LITERALS:
             self.advance()
-            return BoolLit(True, span=tok.span(self.path))
-        if tok.kind == "false":
-            self.advance()
-            return BoolLit(False, span=tok.span(self.path))
-        if tok.kind == "unit":
-            self.advance()
-            return UnitLit(span=tok.span(self.path))
+            return replace(KEYWORD_LITERALS[tok.kind], span=tok.span(self.path))
         if tok.kind == "LOWER":
             self.advance()
             return VarRef(tok.text, span=tok.span(self.path))

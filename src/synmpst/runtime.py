@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .mlts import Classifier, Mlts, components
-from .terms import (Add, BoolLit, Eq, Expr, GlobalAction, IntLit, Mul, NatLit,
+from .terms import (BINARY_OPS, BoolLit, Expr, GlobalAction,
                     PEnd, PIf, PLet, PRec, PRecv, PSend, Process, Role, Session,
                     VarRef, is_value, iter_subprocesses, obj, pretty_expr,
                     substitute_process_rec, substitute_process_val)
@@ -24,18 +24,14 @@ def eval_expr(e: Expr) -> Expr:
         return e
     if isinstance(e, VarRef):
         raise EvalError(f"free variable {e.name}")
-    if isinstance(e, (Add, Mul)):
-        v1 = eval_expr(e.left)
-        v2 = eval_expr(e.right)
-        for kind in (NatLit, IntLit):
-            if isinstance(v1, kind) and isinstance(v2, kind):
-                result = v1.value + v2.value if isinstance(e, Add) else v1.value * v2.value
-                return kind(result)
+    op = BINARY_OPS.get(type(e))
+    if op is None:
+        raise EvalError(f"cannot evaluate {e!r}")
+    v1, v2 = eval_expr(e.left), eval_expr(e.right)
+    result = op.apply(v1, v2)
+    if result is None:
         raise EvalError(f"arithmetic on non-numbers: {pretty_expr(v1)}, {pretty_expr(v2)}")
-    if isinstance(e, Eq):
-        # Values of different payload types are simply unequal.
-        return BoolLit(eval_expr(e.left) == eval_expr(e.right))
-    raise EvalError(f"cannot evaluate {e!r}")
+    return result
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter
-from typing import Iterator, Optional, Union
+from operator import add, attrgetter, mul
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -211,30 +211,58 @@ class VarRef(Expr):
 
 @_cached_hash
 @dataclass(frozen=True)
-class Add(Expr):
+class BinaryExpr(Expr):
+    """An operator applied to two operands; each operator of BINARY_OPS is a subclass."""
     left: Expr
     right: Expr
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-    span: Optional[SourceSpan] = field(**_SPAN)
+class Add(BinaryExpr):
+    """left + right"""
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Eq(Expr):
-    left: Expr
-    right: Expr
-    span: Optional[SourceSpan] = field(**_SPAN)
+class Mul(BinaryExpr):
+    """left * right"""
+
+
+class Eq(BinaryExpr):
+    """left == right"""
+
+
+def _numeric(f: Callable[[int, int], int]) -> Callable[[Expr, Expr], Optional[Expr]]:
+    """f on two Nat or two Int literals, as a literal of that kind; None on others."""
+    return lambda v, w: (type(v)(f(v.value, w.value))
+                         if type(v) is type(w) and type(v) in (NatLit, IntLit) else None)
+
+
+class BinaryOp(NamedTuple):
+    """One binary operator of the expression syntax."""
+    build: type                 # the expression class it builds
+    symbol: str
+    level: int                  # higher binds tighter; every operator groups to the left
+    chains: bool                # a left operand of the same level prints without brackets
+    apply: Callable[[Expr, Expr], Optional[Expr]]   # on two values; None where undefined
+
+
+# Parser, printer, checker and evaluator all read this table. Values of
+# different payload types are simply unequal.
+BINARY_OPS: dict[type, BinaryOp] = {op.build: op for op in (
+    BinaryOp(Eq, "==", 1, False, lambda v, w: BoolLit(v == w)),
+    BinaryOp(Add, "+", 2, True, _numeric(add)),
+    BinaryOp(Mul, "*", 3, True, _numeric(mul)),
+)}
+
+LITERAL_TYPES: dict[type, PayloadType] = {
+    UnitLit: PayloadType.UNIT, BoolLit: PayloadType.BOOL, NatLit: PayloadType.NAT,
+    IntLit: PayloadType.INT, StrLit: PayloadType.STR}
+
+KEYWORD_LITERALS: dict[str, Expr] = {"unit": UnitLit(), "true": BoolLit(True), "false": BoolLit(False)}
+_KEYWORD_OF = {literal: word for word, literal in KEYWORD_LITERALS.items()}
 
 
 def is_value(e: Expr) -> bool:
-    return isinstance(e, (UnitLit, BoolLit, NatLit, IntLit, StrLit))
+    return type(e) in LITERAL_TYPES
 
 
 # ---------------------------------------------------------------------------
@@ -447,25 +475,8 @@ def _free_rec_vars(t: Term) -> frozenset[RecVarName]:
 def free_expr_vars(e: Expr) -> frozenset[VarName]:
     if isinstance(e, VarRef):
         return frozenset((e.name,))
-    if isinstance(e, (Add, Mul, Eq)):
+    if isinstance(e, BinaryExpr):
         return free_expr_vars(e.left) | free_expr_vars(e.right)
-    return frozenset()
-
-
-def free_data_vars(p: Process) -> frozenset[VarName]:
-    if isinstance(p, PSend):
-        return free_expr_vars(p.payload) | free_data_vars(p.cont)
-    if isinstance(p, PRecv):
-        out: frozenset[VarName] = frozenset()
-        for b in p.branches:
-            out |= free_data_vars(b.cont) - {b.binder}
-        return out
-    if isinstance(p, PLet):
-        return free_expr_vars(p.rhs) | (free_data_vars(p.cont) - {p.binder})
-    if isinstance(p, PIf):
-        return free_expr_vars(p.cond) | free_data_vars(p.then) | free_data_vars(p.orelse)
-    if isinstance(p, PRec):
-        return free_data_vars(p.body)
     return frozenset()
 
 
@@ -511,7 +522,7 @@ iter_subprocesses = _preorder
 def substitute_expr(e: Expr, x: VarName, v: Expr) -> Expr:
     if isinstance(e, VarRef):
         return v if e.name == x else e
-    if isinstance(e, (Add, Mul, Eq)):
+    if isinstance(e, BinaryExpr):
         return replace(e, left=substitute_expr(e.left, x, v), right=substitute_expr(e.right, x, v))
     return e
 
@@ -566,20 +577,20 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
     """
     out: list[WfViolation] = []
 
-    def walk(t: GlobalType, bound: frozenset[str], unguarded: frozenset[str]) -> None:
+    def walk(t: GlobalType, bound: frozenset[str], unguarded: frozenset[str]) -> set[Role]:
+        """Append t's violations to out; return t's roles, in a set the caller may change."""
         if isinstance(t, GEnd):
-            return
+            return set()
         if isinstance(t, GVar):
             if t.var not in bound:
                 out.append(WfViolation("unbound-var", f"recursion variable {t.var} is unbound", t.span))
             elif t.var in unguarded:
                 out.append(WfViolation("unguarded", f"recursion variable {t.var} occurs unguarded", t.span))
-            return
+            return set()
         if isinstance(t, GMu):
             if t.var in bound:
                 out.append(WfViolation("shadowed-binder", f"mu binder {t.var} shadows an outer binder", t.span))
-            walk(t.body, bound | {t.var}, unguarded | {t.var})
-            return
+            return walk(t.body, bound | {t.var}, unguarded | {t.var})
         if isinstance(t, GComm):
             if not t.branches:
                 out.append(WfViolation("empty-choice", "communication with no branches", t.span))
@@ -587,34 +598,46 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
                 out.append(WfViolation("self-communication",
                                        f"role {t.sender} sends to itself", t.span))
             seen: set[str] = set()
+            roles = {t.sender, t.receiver}
             for b in t.branches:
                 if b.label in seen:
                     out.append(WfViolation("duplicate-label",
                                            f"branch label {b.label} repeated in one choice", t.span))
                 seen.add(b.label)
-                walk(b.cont, bound, frozenset())
-            return
+                roles = _union(roles, walk(b.cont, bound, frozenset()))
+            return roles
         if isinstance(t, GPar):
-            overlap = roles_of(t.left) & roles_of(t.right)
+            at = len(out)               # where the par's own violations go, before its operands'
+            left = walk(t.left, bound, unguarded)
+            right = walk(t.right, bound, unguarded)
+            found = []
+            overlap = left & right
             if overlap:
-                out.append(WfViolation("par-overlap",
-                                       "par operands share roles: " + ", ".join(sorted(overlap)), t.span))
+                found.append(WfViolation("par-overlap",
+                                         "par operands share roles: " + ", ".join(sorted(overlap)), t.span))
             # A recursion variable bound outside a par would re-introduce the
             # whole type inside one operand on unfolding, breaking the role
             # disjointness the rule relies on. A par outside every binder,
             # such as each one on a top-level par spine, has none to check.
             crossing = bound and (free_global_vars(t.left) | free_global_vars(t.right)) & bound
             if crossing:
-                out.append(WfViolation("rec-crosses-par",
-                                       "recursion variable bound outside par occurs inside: "
-                                       + ", ".join(sorted(crossing)), t.span))
-            walk(t.left, bound, unguarded)
-            walk(t.right, bound, unguarded)
-            return
+                found.append(WfViolation("rec-crosses-par",
+                                         "recursion variable bound outside par occurs inside: "
+                                         + ", ".join(sorted(crossing)), t.span))
+            out[at:at] = found
+            return _union(left, right)
         raise TypeError(f"not a global type: {t!r}")
 
     walk(g, frozenset(), frozenset())
     return out
+
+
+def _union(a: set, b: set) -> set:
+    """a | b, made by adding the smaller set to the larger one, which it reuses."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def check_wellformed_process(p: Process) -> list[WfViolation]:
@@ -684,30 +707,23 @@ def pretty_expr(e: Expr) -> str:
     return _pretty_expr(e, 0)
 
 
-# Precedence levels: == (1) < + (2) < * (3).
 def _pretty_expr(e: Expr, level: int) -> str:
-    if isinstance(e, UnitLit):
-        return "unit"
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
+    """e in surface syntax, bracketed unless it binds at least as tightly as level."""
+    op = BINARY_OPS.get(type(e))
+    if op is not None:
+        left = _pretty_expr(e.left, op.level if op.chains else op.level + 1)
+        s = f"{left} {op.symbol} {_pretty_expr(e.right, op.level + 1)}"
+        return f"({s})" if level > op.level else s
+    if isinstance(e, (UnitLit, BoolLit)):
+        return _KEYWORD_OF[e]
     if isinstance(e, NatLit):
         return str(e.value)
     if isinstance(e, IntLit):
-        return f"+{e.value}" if e.value >= 0 else str(e.value)
+        return f"{e.value:+d}"
     if isinstance(e, StrLit):
-        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(e, VarRef):
         return e.name
-    if isinstance(e, Eq):
-        s = f"{_pretty_expr(e.left, 2)} == {_pretty_expr(e.right, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(e, Add):
-        s = f"{_pretty_expr(e.left, 2)} + {_pretty_expr(e.right, 2)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(e, Mul):
-        s = f"{_pretty_expr(e.left, 3)} * {_pretty_expr(e.right, 3)}"
-        return f"({s})" if level > 3 else s
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -13,9 +13,9 @@ from typing import Optional, Union
 
 from .lts import reach_strong_without, reach_without, step_with
 from .mlts import Classifier, Mlts, components
-from .terms import (Add, BoolLit, Eq, Expr, IntLit, Mul, NatLit, PayloadType,
+from .terms import (BINARY_OPS, LITERAL_TYPES, Eq, Expr, PayloadType,
                     PEnd, PIf, PLet, PRec, PRecv, Process, PSend, PVar,
-                    Role, Session, SourceSpan, StrLit, UnitLit, VarRef,
+                    Role, Session, SourceSpan, VarRef,
                     is_message_guarded, obj, pretty_expr, summarize_process)
 
 RULE_SEND = "⊢-Send"
@@ -127,37 +127,26 @@ def type_expr(env: DataEnv, e: Expr) -> Union[PayloadType, TcError]:
 
 def _type_expr(env: DataEnv, e: Expr, role: Role, s: int) -> PayloadType:
     """Type of e in env; a failure names role and state s."""
-    if isinstance(e, UnitLit):
-        return PayloadType.UNIT
-    if isinstance(e, BoolLit):
-        return PayloadType.BOOL
-    if isinstance(e, NatLit):
-        return PayloadType.NAT
-    if isinstance(e, IntLit):
-        return PayloadType.INT
-    if isinstance(e, StrLit):
-        return PayloadType.STR
+    literal = LITERAL_TYPES.get(type(e))
+    if literal is not None:
+        return literal
     if isinstance(e, VarRef):
         t = _lookup(env, e.name)
         if t is None:
             raise _Fail(TcError(UNBOUND_VAR, role, s, f"variable {e.name} is unbound", span=e.span))
         return t
-    if isinstance(e, (Add, Mul)):
-        op = "+" if isinstance(e, Add) else "*"
-        t1 = _type_expr(env, e.left, role, s)
-        t2 = _type_expr(env, e.right, role, s)
-        if t1 == t2 and t1 in (PayloadType.NAT, PayloadType.INT):
+    op = BINARY_OPS.get(type(e))
+    if op is not None:
+        t1, t2 = _type_expr(env, e.left, role, s), _type_expr(env, e.right, role, s)
+        if isinstance(e, Eq):
+            if t1 == t2:
+                return PayloadType.BOOL
+            message = f"{op.symbol} compares a {t1} with a {t2}"
+        elif t1 == t2 and t1 in (PayloadType.NAT, PayloadType.INT):
             return t1
-        raise _Fail(TcError(EXPR_ILL_TYPED, role, s,
-                            f"operator {op} needs two Nat or two Int operands, got {t1} and {t2}",
-                            span=e.span))
-    if isinstance(e, Eq):
-        t1 = _type_expr(env, e.left, role, s)
-        t2 = _type_expr(env, e.right, role, s)
-        if t1 != t2:
-            raise _Fail(TcError(EXPR_ILL_TYPED, role, s,
-                                f"== compares a {t1} with a {t2}", span=e.span))
-        return PayloadType.BOOL
+        else:
+            message = f"operator {op.symbol} needs two Nat or two Int operands, got {t1} and {t2}"
+        raise _Fail(TcError(EXPR_ILL_TYPED, role, s, message, span=e.span))
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -1,11 +1,17 @@
+import random
+
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, TOKEN_FRAGMENTS
+from synmpst.generate import random_global_type
 from synmpst.lts import lts_to_json
 from synmpst.mlts import Mlts
 from synmpst.parser import (ParseAbort, ProtocolFile, parse_file, parse_mlts,
                             pretty_file, tokenize)
-from synmpst.terms import GBranch, GComm, GEnd, PayloadType
+from synmpst.terms import (Add, BoolLit, Eq, GBranch, GComm, GEnd, IntLit, Mul, NatLit,
+                           PayloadType, PEnd, PIf, PLet, PRec, PRecv, PSend, PVar,
+                           RecvBranch, StrLit, UnitLit, VarRef, iter_subprocesses,
+                           pretty_expr, pretty_process)
 
 INT = PayloadType.INT
 
@@ -142,6 +148,91 @@ def test_parenthesised_expressions():
     assert isinstance(pf, ProtocolFile)
     from synmpst.terms import Add, Mul, NatLit, VarRef
     assert pf.processes["P"][1].payload == Mul(Add(VarRef("x"), NatLit(2)), VarRef("y"))
+
+
+def test_printing_brackets_a_right_operand_of_the_same_level():
+    one, two, three, four = NatLit(1), NatLit(2), NatLit(3), NatLit(4)
+    assert pretty_expr(Add(one, Add(two, three))) == "1 + (2 + 3)"
+    assert pretty_expr(Mul(two, Mul(three, four))) == "2 * (3 * 4)"
+    assert pretty_expr(Eq(Eq(one, two), three)) == "(1 == 2) == 3"
+    assert pretty_expr(Add(one, Mul(two, three))) == "1 + 2 * 3"
+
+
+_STRINGS = ("", "plain", 'say "hi"', "back\\slash", '\\"', '"\\')
+
+
+def random_expr(rng, depth):
+    """An expression of every constructor: literals (negative Ints and strings
+    holding \\ and " among them), variables, and all three operators nested
+    on either side."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((
+            lambda: UnitLit(), lambda: BoolLit(rng.random() < 0.5),
+            lambda: NatLit(rng.randrange(100)), lambda: IntLit(rng.randrange(-100, 100)),
+            lambda: StrLit(rng.choice(_STRINGS)), lambda: VarRef(rng.choice("xyz"))))()
+    op = rng.choice((Add, Mul, Eq))
+    return op(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+def random_process(rng, depth):
+    """A process of every constructor, with random expressions in it."""
+    if depth == 0:
+        return rng.choice((PEnd(), PVar("X")))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PSend("b", rng.choice("LM"), random_expr(rng, 3), random_process(rng, depth - 1))
+    if kind == 1:
+        return PRecv("b", tuple(RecvBranch(label, rng.choice("xyz"), rng.choice(tuple(PayloadType)),
+                                           random_process(rng, depth - 1))
+                                for label in rng.sample("LMN", rng.randint(1, 2))))
+    if kind == 2:
+        return PLet(rng.choice("xyz"), random_expr(rng, 3), random_process(rng, depth - 1))
+    if kind == 3:
+        return PIf(random_expr(rng, 3), random_process(rng, depth - 1), random_process(rng, depth - 1))
+    if kind == 4:
+        return PRec("X", random_process(rng, depth - 1))
+    return PEnd()
+
+
+def _expressions(p):
+    """Every expression in process p, sub-expressions included."""
+    stack = [getattr(q, f) for q in iter_subprocesses(p) for f in ("payload", "rhs", "cond")
+             if hasattr(q, f)]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (Add, Mul, Eq)):
+            stack += (e.left, e.right)
+
+
+def round_trip_inputs(processes, draws, seed=0):
+    """A ProtocolFile of generated processes and random_global_type draws."""
+    rng = random.Random(seed)
+    procs = {f"P{i}": ("a", random_process(rng, 4)) for i in range(processes)}
+    globals_ = {f"G{i}": random_global_type(random.Random(i)) for i in range(draws)}
+    order = tuple([("global", n) for n in globals_] + [("process", n) for n in procs])
+    return ProtocolFile("<generated>", globals_, procs, {}, order)
+
+
+def test_pretty_file_round_trips_generated_processes_and_random_globals():
+    pf = round_trip_inputs(processes=400, draws=100)
+    exprs = [e for _, p in pf.processes.values() for e in _expressions(p)]
+    # Every constructor occurs, and each operator has an operand of its own
+    # kind on each side.
+    assert {type(e) for e in exprs} == {UnitLit, BoolLit, NatLit, IntLit, StrLit, VarRef,
+                                        Add, Mul, Eq}
+    for op in (Add, Mul, Eq):
+        assert any(type(e) is op and type(e.left) is op for e in exprs)
+        assert any(type(e) is op and type(e.right) is op for e in exprs)
+    assert any(isinstance(e, IntLit) and e.value < 0 for e in exprs)
+    assert {'say "hi"', "back\\slash"} <= {e.value for e in exprs if isinstance(e, StrLit)}
+    again = parse_file(pretty_file(pf), "printed", allow_unresolved_globals=True)
+    assert isinstance(again, ProtocolFile), again[:1]
+    assert again.order == pf.order
+    for name, g in pf.globals.items():
+        assert again.globals[name] == g, name
+    for name, (role, p) in pf.processes.items():
+        assert again.processes[name] == (role, p), pretty_process(p)
 
 
 def _token_stream(text, path):

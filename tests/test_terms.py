@@ -1,14 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS, pairs_global, workers_global
+from synmpst import terms
+from synmpst.generate import random_global_type
+from synmpst.parser import parse_file
 from synmpst.terms import (Eq, GBranch, GComm, GEnd, GMu, GPar, GVar, NatLit,
                            PayloadType, PEnd, PIf, PRec, PRecv, PSend, PVar, PLet,
-                           RecvBranch, Session, VarRef, Mul,
+                           RecvBranch, Session, VarRef, Mul, WfViolation,
                            check_wellformed_global, check_wellformed_process,
-                           free_data_vars, free_global_vars,
+                           free_expr_vars, free_global_vars,
                            free_process_rec_vars, is_message_guarded,
                            iter_subprocesses, obj,
-                           pretty_process, roles_of,
+                           pretty_process, roles_of, term_nodes,
                            substitute_global, substitute_process_rec,
                            substitute_process_val)
 
@@ -135,6 +141,25 @@ def test_substitute_process_val_respects_let_scope():
     assert out == PLet("y", Mul(NatLit(6), NatLit(2)), q)
 
 
+def free_data_vars(p):
+    """The data variables occurring free in a process: the reference that
+    value substitution is checked against."""
+    if isinstance(p, PSend):
+        return free_expr_vars(p.payload) | free_data_vars(p.cont)
+    if isinstance(p, PRecv):
+        out = frozenset()
+        for b in p.branches:
+            out |= free_data_vars(b.cont) - {b.binder}
+        return out
+    if isinstance(p, PLet):
+        return free_expr_vars(p.rhs) | (free_data_vars(p.cont) - {p.binder})
+    if isinstance(p, PIf):
+        return free_expr_vars(p.cond) | free_data_vars(p.then) | free_data_vars(p.orelse)
+    if isinstance(p, PRec):
+        return free_data_vars(p.body)
+    return frozenset()
+
+
 # Independent capture-avoidance oracle: after substituting a closed value,
 # the free variables are exactly those predicted from the sides.
 def _enumerate_small_processes():
@@ -194,6 +219,114 @@ def test_wellformed_global_rejects_recursion_crossing_par():
 
 def test_wellformed_global_accepts_corpus(ring_pf):
     assert check_wellformed_global(ring_pf.globals["Ring"]) == []
+
+
+def reference_check_wellformed_global(g):
+    """check_wellformed_global as it was before it gathered each par operand's
+    roles while checking it: a par asks roles_of for both operands."""
+    out = []
+
+    def walk(t, bound, unguarded):
+        if isinstance(t, GEnd):
+            return
+        if isinstance(t, GVar):
+            if t.var not in bound:
+                out.append(WfViolation("unbound-var", f"recursion variable {t.var} is unbound", t.span))
+            elif t.var in unguarded:
+                out.append(WfViolation("unguarded", f"recursion variable {t.var} occurs unguarded", t.span))
+            return
+        if isinstance(t, GMu):
+            if t.var in bound:
+                out.append(WfViolation("shadowed-binder", f"mu binder {t.var} shadows an outer binder", t.span))
+            walk(t.body, bound | {t.var}, unguarded | {t.var})
+            return
+        if isinstance(t, GComm):
+            if not t.branches:
+                out.append(WfViolation("empty-choice", "communication with no branches", t.span))
+            if t.sender == t.receiver:
+                out.append(WfViolation("self-communication",
+                                       f"role {t.sender} sends to itself", t.span))
+            seen = set()
+            for b in t.branches:
+                if b.label in seen:
+                    out.append(WfViolation("duplicate-label",
+                                           f"branch label {b.label} repeated in one choice", t.span))
+                seen.add(b.label)
+                walk(b.cont, bound, frozenset())
+            return
+        if isinstance(t, GPar):
+            overlap = roles_of(t.left) & roles_of(t.right)
+            if overlap:
+                out.append(WfViolation("par-overlap",
+                                       "par operands share roles: " + ", ".join(sorted(overlap)), t.span))
+            crossing = bound and (free_global_vars(t.left) | free_global_vars(t.right)) & bound
+            if crossing:
+                out.append(WfViolation("rec-crosses-par",
+                                       "recursion variable bound outside par occurs inside: "
+                                       + ", ".join(sorted(crossing)), t.span))
+            walk(t.left, bound, unguarded)
+            walk(t.right, bound, unguarded)
+            return
+        raise TypeError(f"not a global type: {t!r}")
+
+    walk(g, frozenset(), frozenset())
+    return out
+
+
+def _parsed_global(text):
+    return parse_file(f"global G = {text};").globals["G"]
+
+
+# Ill-formed globals, each with several violations at several depths, so
+# that the order in which they are reported is compared too.
+_MUTANT_TEXTS = [
+    # overlap, with an unbound variable in each operand
+    "par { a -> b: L(Nat) . Y || par { b -> c: L(Nat) . Z || c -> d: L(Nat) . end } }",
+    # crossing, unguarded inside the par, and a nested par that overlaps
+    "mu X . a -> b: L(Nat) . par { mu Y . par { Y || b -> c: M(Nat) . X } || c -> d: M(Nat) . end }",
+    # unbound and unguarded variables, a shadowed binder
+    "mu X . mu X . par { X || a -> b: L(Nat) . W }",
+    # a duplicate label under a par, and a par under a prefix that overlaps
+    "par { a -> b { L(Nat) . end, L(Unit) . end } || c -> d: L(Nat) . "
+    "par { c -> e: M(Nat) . end || e -> c: N(Nat) . end } }",
+    # a par under a prefix and under a choice, with crossing and overlap
+    "mu X . a -> b { L(Nat) . par { a -> c: M(Nat) . X || b -> c: M(Nat) . end }, "
+    "M(Nat) . par { d -> e: K(Nat) . end || f -> g: K(Nat) . X } }",
+]
+
+
+def _wellformedness_inputs():
+    for path in sorted(CORPUS.glob("*.smpst")):
+        yield from parse_file(path.read_text(), str(path), allow_unresolved_globals=True).globals.values()
+    for k in range(1, 6):
+        yield _parsed_global(workers_global(k))
+    for n in range(1, 41):
+        yield _parsed_global(pairs_global(n))
+    for seed in range(500):
+        yield random_global_type(random.Random(seed), max_depth=4)
+    for text in _MUTANT_TEXTS:
+        yield _parsed_global(text)
+    yield GComm("a", "a", ())
+
+
+def test_wellformedness_of_globals_matches_the_reference_in_order():
+    compared = 0
+    for g in _wellformedness_inputs():
+        expected = [(v.code, v.message, v.span) for v in reference_check_wellformed_global(g)]
+        assert [(v.code, v.message, v.span) for v in check_wellformed_global(g)] == expected
+        compared += bool(expected)
+    assert compared == len(_MUTANT_TEXTS) + 1
+
+
+@pytest.mark.parametrize("text", [pairs_global(10), pairs_global(40), workers_global(5)],
+                         ids=["P_10", "P_40", "W_5"])
+def test_wellformedness_views_each_subterm_at_most_once(text, monkeypatch):
+    g = _parsed_global(text)
+    views = []
+    subterms = terms._subterms
+    monkeypatch.setattr(terms, "_subterms", lambda t: views.append(t) or subterms(t))
+    assert check_wellformed_global(g) == []
+    assert len(views) <= term_nodes(g, 10_000)
 
 
 def test_wellformed_process_examples():
