@@ -1,18 +1,18 @@
 """Operational semantics of global types and the derived transition relations.
 
 A well-formed, closed, guarded global type reaches finitely many distinct
-terms under the transition rules; build_lts materialises that state space.
-Under a top-level par a state is a vector of operand states, one per operand
-of the par spine, each operand's states being its structurally distinct
-terms; any other type is a single operand.
+terms under the transition rules; build_lts materialises that state space by
+a breadth-first search over terms. A top-level par is the product of its
+operands' LTSs, each built by that search: a product state is a vector of
+operand states, numbered as the search over the par's whole terms numbers
+them.
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .mlts import Mlts
 from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
@@ -154,113 +154,42 @@ class GlobalLts:
         return Mlts(0, tuple(pretty_global(t, memo) for t in self.terms), self.transitions)
 
 
-# A state's row: its successors as (action sort key, action, target id), in
-# _ordered_steps order.
-_Row = list[tuple[tuple[str, str, str, str], GlobalAction, int]]
-# Called before a new state is numbered, with the id it would get and its
-# term; raises to refuse it.
-_Admit = Callable[[int, GlobalType], None]
+_S = TypeVar("_S", bound=Hashable)
 
 
-class _Operand:
-    """The terms reachable from one global type, numbered as first met, with
-    the rows of the states explored so far."""
+def _search(states: list[_S], moves: Callable[[_S], Iterable[tuple[GlobalAction, _S]]],
+            cap: int, admit: Callable[[int, _S], None]) -> frozenset[tuple[int, GlobalAction, int]]:
+    """Breadth-first search from the one state in states, which gains every
+    state reached, numbered as first met in the order moves lists a state's
+    moves; returns the transitions between their ids.
 
-    def __init__(self, g: GlobalType, stepper: _Stepper) -> None:
-        self.terms: list[GlobalType] = [g]
-        self._index: dict[GlobalType, int] = {g: 0}
-        self._rows: list[Optional[_Row]] = [None]
-        self._stepper = stepper
-
-    def row(self, i: int, admit: Optional[_Admit] = None) -> _Row:
-        """State i's row; the first call steps its term and numbers its new
-        targets in row order, each after admit accepts it."""
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = []
-            terms, index = self.terms, self._index
-            for action, target in _ordered_steps(self._stepper.step(terms[i])):
-                j = index.get(target)
-                if j is None:
-                    j = len(terms)
-                    if admit:
-                        admit(j, target)
-                    index[target] = j
-                    terms.append(target)
-                    self._rows.append(None)
-                row.append((action.sort_key(), action, j))
-        return row
-
-
-class _Product:
-    """The reachable states of a top-level par: vectors of operand state ids,
-    numbered as first met, each with its term.
-
-    The step rule of par interleaves its operands' moves, so a state's
-    successors are its operands' moves, each changing one component. A
-    state's term is built over the par spine of the initial term from shared
-    sub-products, so state 0's term is that term itself."""
-
-    def __init__(self, g: GPar, stepper: _Stepper) -> None:
-        self._ops = [_Operand(op, stepper) for op in par_operands(g)]
-        self._spine, _ = self._split(g, 0)
-        initial = (0,) * len(self._ops)
-        self._vectors = [initial]
-        self._index = {initial: 0}
-        self.terms: list[GlobalType] = [g]
-        self._rendered: dict[GlobalType, str] = {}
-
-    def _split(self, g: GlobalType, lo: int):
-        """g's par spine, its operands numbered from lo, and the number after
-        its last: a spine node is an operand's position, or (lo, hi, left,
-        right, sub-products keyed by the slice [lo:hi] of a vector)."""
-        if not isinstance(g, GPar):
-            return lo, lo + 1
-        left, mid = self._split(g.left, lo)
-        right, hi = self._split(g.right, mid)
-        return (lo, hi, left, right, {(0,) * (hi - lo): g}), hi
-
-    def _term(self, v: tuple[int, ...], node=None) -> GlobalType:
-        node = self._spine if node is None else node
-        if isinstance(node, int):
-            return self._ops[node].terms[v[node]]
-        lo, hi, left, right, built = node
-        term = built.get(v[lo:hi])
-        if term is None:
-            term = built[v[lo:hi]] = GPar(self._term(v, left), self._term(v, right))
-        return term
-
-    def row(self, i: int, admit: _Admit) -> _Row:
-        """State i's row, its new targets numbered in row order, each after
-        admit accepts it."""
-        v = self._vectors[i]
-        moves = []
-        for k, op in enumerate(self._ops):
-            op_row = op.row(v[k])
-            if op_row:
-                head, tail = v[:k], v[k + 1:]
-                moves += [(key, action, head + (j,) + tail) for key, action, j in op_row]
-        if len(set(map(_sort_key, moves))) < len(moves):
-            # Same-action targets go in the order of their rendered terms, as
-            # _canonical puts them.
-            moves.sort(key=lambda move: (move[0], pretty_global(self._term(move[2]), self._rendered)))
-        else:
-            moves.sort(key=_sort_key)
-        row = []
-        vectors, index = self._vectors, self._index
-        for key, action, w in moves:
-            j = index.get(w)
-            if j is None:
-                j, term = len(vectors), self._term(w)
-                admit(j, term)
-                index[w] = j
-                vectors.append(w)
-                self.terms.append(term)
-            row.append((key, action, j))
-        return row
-
-
-_sort_key = operator.itemgetter(0)
+    A new state is refused once cap states are numbered, and admit may
+    refuse it by raising before it is numbered."""
+    index = {states[0]: 0}
+    transitions: set[tuple[int, GlobalAction, int]] = set()
+    # States are explored in id order, so a BFS level is a range of ids.
+    level_start, level_end, sid = 0, 1, 0
+    try:
+        while sid < len(states):
+            if sid == level_end:
+                level_start, level_end = level_end, len(states)
+            for action, target in moves(states[sid]):
+                tid = index.get(target)
+                if tid is None:
+                    tid = len(states)
+                    if tid >= cap:
+                        raise CapExceededError(cap, tid - level_start)
+                    admit(tid, target)
+                    index[target] = tid
+                    states.append(target)
+                transitions.add((sid, action, tid))
+            sid += 1
+    except RecursionError:
+        raise CapExceededError(
+            cap, len(states),
+            f"state terms grew beyond comparable depth after {len(states)} states; "
+            "the type's reordering closure is likely unbounded") from None
+    return frozenset(transitions)
 
 
 def par_operands(g: GlobalType) -> tuple[GlobalType, ...]:
@@ -277,51 +206,105 @@ def par_operands(g: GlobalType) -> tuple[GlobalType, ...]:
     return tuple(out)
 
 
+def _spine_terms(g: GlobalType, parts: Sequence[GlobalLts]
+                 ) -> Callable[[tuple[int, ...]], GlobalType]:
+    """The term of a vector of state ids of the operands on g's par spine,
+    put together from their LTSs' terms. Equal sub-products are one object,
+    so terms hash and render from shared parts; the zero vector's term is g."""
+    def split(node: GlobalType, lo: int):
+        # A spine node is an operand's position, or (lo, hi, left, right,
+        # sub-products keyed by the slice [lo:hi] of a vector).
+        if not isinstance(node, GPar):
+            return lo, lo + 1
+        left, mid = split(node.left, lo)
+        right, hi = split(node.right, mid)
+        return (lo, hi, left, right, {(0,) * (hi - lo): node}), hi
+
+    def term(v: tuple[int, ...], node) -> GlobalType:
+        if isinstance(node, int):
+            return parts[node].terms[v[node]]
+        lo, hi, left, right, built = node
+        t = built.get(v[lo:hi])
+        if t is None:
+            t = built[v[lo:hi]] = GPar(term(v, left), term(v, right))
+        return t
+
+    spine = split(g, 0)[0]
+    return lambda v: term(v, spine)
+
+
+def _par_lts(g: GPar, parts: Sequence[GlobalLts], cap: int,
+             admit: Callable[[int, GlobalType], None]) -> GlobalLts:
+    """The LTS of g from the LTSs of the operands on its par spine.
+
+    The step rule of par interleaves its operands' moves, so a state is a
+    vector of operand state ids and each of its moves changes one component.
+    States are numbered, successors ordered and admitted as the search over
+    g's whole terms does: by action, then same-action targets by their
+    rendered terms. The search hashes no product term but to order those."""
+    term = _spine_terms(g, parts)
+    rows = [[[] for _ in p.terms] for p in parts]
+    for row, p in zip(rows, parts):
+        for s, a, t in p.transitions:
+            row[s].append((a.sort_key(), a, t))
+    rendered: dict[GlobalType, str] = {}
+
+    def moves(v: tuple[int, ...]) -> list[tuple[GlobalAction, tuple[int, ...]]]:
+        out = []
+        for k, i in enumerate(v):
+            head, tail = v[:k], v[k + 1:]
+            out += [(key, a, head + (t,) + tail) for key, a, t in rows[k][i]]
+        if len({key for key, _, _ in out}) < len(out):
+            out.sort(key=lambda move: (move[0], pretty_global(term(move[2]), rendered)))
+        else:
+            out.sort()  # distinct keys: the tuples compare by key alone
+        return [(a, w) for _, a, w in out]
+
+    terms = [g]
+
+    def admit_vector(tid: int, v: tuple[int, ...]) -> None:
+        t = term(v)
+        admit(tid, t)
+        terms.append(t)
+
+    transitions = _search([(0,) * len(parts)], moves, cap, admit_vector)
+    return GlobalLts(tuple(terms), transitions)
+
+
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
               max_term_nodes: Optional[int] = None) -> GlobalLts:
-    """Breadth-first closure of step from g.
+    """Breadth-first closure of step from g, structural equality being state
+    identity. States are numbered as first met, and a state's successors
+    ordered by action, then same-action targets by their rendered terms.
 
-    A term whose top is a par is the product of the operands on its par
-    spine: each operand is explored on its own, as far as the product needs
-    it, and a state is identified by the vector of its operands' state ids.
-    Any other term is a product of one operand, whose states are its
-    structurally distinct terms; a par under a prefix or a mu is part of
-    those terms. Either way states are numbered, and successors ordered, as a
-    breadth-first search over whole terms: by action, then same-action
-    targets by their rendered terms.
+    A term whose top is a par is the product of the LTSs of the operands on
+    its par spine, each built first, within the cap, by the search over its
+    terms: the states and transitions are those of the search over g's whole
+    terms, but each operand state is stepped once and a product state costs
+    a vector of operand ids. A par under a prefix or a mu is part of its
+    operand.
 
     max_term_nodes bounds the size of individual state terms; out-of-order
     reordering can make a recursive type's closure unbounded, in which case
     state terms grow without limit on the way to the cap.
     """
-    stepper = _Stepper()
-    space = _Product(g, stepper) if isinstance(g, GPar) else _Operand(g, stepper)
-    transitions: set[tuple[int, GlobalAction, int]] = set()
-    # States are explored in id order, so a BFS level is a range of ids.
-    level_start, level_end, sid = 0, 1, 0
+    # A term too deep to hash is refused by the caller as nested too deeply,
+    # not here as an unbounded closure; the hash is cached for the search.
+    hash(g)
 
     def admit(tid: int, term: GlobalType) -> None:
-        if tid >= cap:
-            raise CapExceededError(cap, tid - level_start)
         if max_term_nodes and term_nodes(term, max_term_nodes) > max_term_nodes:
             raise CapExceededError(
                 cap, tid,
                 f"a state term grew past {max_term_nodes} nodes after "
                 f"{tid} states; the reordering closure is likely unbounded")
 
-    try:
-        while sid < len(space.terms):
-            if sid == level_end:
-                level_start, level_end = level_end, len(space.terms)
-            for _, action, tid in space.row(sid, admit):
-                transitions.add((sid, action, tid))
-            sid += 1
-    except RecursionError:
-        raise CapExceededError(
-            cap, len(space.terms),
-            f"state terms grew beyond comparable depth after {len(space.terms)} states; "
-            "the type's reordering closure is likely unbounded") from None
-    return GlobalLts(tuple(space.terms), frozenset(transitions))
+    operands = par_operands(g)
+    if len(operands) > 1:
+        return _par_lts(g, [build_lts(op, cap, max_term_nodes) for op in operands], cap, admit)
+    stepper, terms = _Stepper(), [g]
+    transitions = _search(terms, lambda t: _ordered_steps(stepper.step(t)), cap, admit)
+    return GlobalLts(tuple(terms), transitions)
 
 
 # ---------------------------------------------------------------------------

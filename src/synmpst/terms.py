@@ -201,6 +201,11 @@ class StrLit(Expr):
     value: str
     span: Optional[SourceSpan] = field(**_SPAN)
 
+    def __post_init__(self) -> None:
+        # The syntax has no escape for a newline, so no literal could spell it.
+        if "\n" in self.value:
+            raise ValueError("string literal must not contain a newline")
+
 
 @_cached_hash
 @dataclass(frozen=True)
@@ -577,20 +582,24 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
     """
     out: list[WfViolation] = []
 
-    def walk(t: GlobalType, bound: frozenset[str], unguarded: frozenset[str]) -> set[Role]:
-        """Append t's violations to out; return t's roles, in a set the caller may change."""
+    def walk(t: GlobalType, bound: frozenset[str], unguarded: frozenset[str]
+             ) -> tuple[set[Role], set[RecVarName]]:
+        """Append t's violations to out; return t's roles and its free
+        recursion variables, in sets the caller may change."""
         if isinstance(t, GEnd):
-            return set()
+            return set(), set()
         if isinstance(t, GVar):
             if t.var not in bound:
                 out.append(WfViolation("unbound-var", f"recursion variable {t.var} is unbound", t.span))
             elif t.var in unguarded:
                 out.append(WfViolation("unguarded", f"recursion variable {t.var} occurs unguarded", t.span))
-            return set()
+            return set(), {t.var}
         if isinstance(t, GMu):
             if t.var in bound:
                 out.append(WfViolation("shadowed-binder", f"mu binder {t.var} shadows an outer binder", t.span))
-            return walk(t.body, bound | {t.var}, unguarded | {t.var})
+            roles, free = walk(t.body, bound | {t.var}, unguarded | {t.var})
+            free.discard(t.var)
+            return roles, free
         if isinstance(t, GComm):
             if not t.branches:
                 out.append(WfViolation("empty-choice", "communication with no branches", t.span))
@@ -598,18 +607,19 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
                 out.append(WfViolation("self-communication",
                                        f"role {t.sender} sends to itself", t.span))
             seen: set[str] = set()
-            roles = {t.sender, t.receiver}
+            roles, free = {t.sender, t.receiver}, set()
             for b in t.branches:
                 if b.label in seen:
                     out.append(WfViolation("duplicate-label",
                                            f"branch label {b.label} repeated in one choice", t.span))
                 seen.add(b.label)
-                roles = _union(roles, walk(b.cont, bound, frozenset()))
-            return roles
+                branch_roles, branch_free = walk(b.cont, bound, frozenset())
+                roles, free = _union(roles, branch_roles), _union(free, branch_free)
+            return roles, free
         if isinstance(t, GPar):
             at = len(out)               # where the par's own violations go, before its operands'
-            left = walk(t.left, bound, unguarded)
-            right = walk(t.right, bound, unguarded)
+            left, left_free = walk(t.left, bound, unguarded)
+            right, right_free = walk(t.right, bound, unguarded)
             found = []
             overlap = left & right
             if overlap:
@@ -617,15 +627,15 @@ def check_wellformed_global(g: GlobalType) -> list[WfViolation]:
                                          "par operands share roles: " + ", ".join(sorted(overlap)), t.span))
             # A recursion variable bound outside a par would re-introduce the
             # whole type inside one operand on unfolding, breaking the role
-            # disjointness the rule relies on. A par outside every binder,
-            # such as each one on a top-level par spine, has none to check.
-            crossing = bound and (free_global_vars(t.left) | free_global_vars(t.right)) & bound
+            # disjointness the rule relies on.
+            free = _union(left_free, right_free)
+            crossing = free & bound
             if crossing:
                 found.append(WfViolation("rec-crosses-par",
                                          "recursion variable bound outside par occurs inside: "
                                          + ", ".join(sorted(crossing)), t.span))
             out[at:at] = found
-            return _union(left, right)
+            return _union(left, right), free
         raise TypeError(f"not a global type: {t!r}")
 
     walk(g, frozenset(), frozenset())

@@ -420,6 +420,17 @@ def test_lts_of_w6_exceeds_the_cap(tmp_path, capsys):
     assert err.startswith(f"synmpst: error: {path}: global G: state cap 10000 exceeded with ")
 
 
+def test_every_command_refuses_an_operand_over_the_cap_alike(tmp_path, capsys):
+    # W_2's operands have five states each: the cap refuses the first
+    # operand before any product is built.
+    path = tmp_path / "w2.smpst"
+    path.write_text(workers_text(2, False))
+    line = (f"synmpst: error: {path}: global G: state cap 3 exceeded with 2 states "
+            "still on the frontier\n")
+    for command in ("lts", "check", "wb", "explore"):
+        assert run_cli(capsys, command, str(path), "--state-cap", "3") == (2, "", line), command
+
+
 def test_explore_of_w6_runs_per_operand(tmp_path, capsys):
     # Stop-first, each a_i stops at once: 3^6 configurations, where the
     # product has 5^6 states. Looping, each operand has 16 configurations,

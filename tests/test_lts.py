@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import random
@@ -9,8 +11,8 @@ from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst import generate
 from synmpst.lts import (DEFAULT_STATE_CAP, CapExceededError, GlobalLts,
                          _ordered_steps, _Stepper, build_lts, lts_to_dot,
-                         lts_to_json, reach_strong_without, reach_without, step,
-                         step_with)
+                         lts_to_json, par_operands,
+                         reach_strong_without, reach_without, step, step_with)
 from synmpst.mlts import Mlts
 from synmpst.parser import parse_file, parse_mlts
 from synmpst.terms import (GBranch, GComm, GEnd, GlobalAction, GMu, GPar,
@@ -236,7 +238,7 @@ def test_json_export_round_trips_as_mlts(ring_lts, ring_m):
 
 def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
     """build_lts as a breadth-first search over whole terms, with structural
-    equality as state identity: what the product search must reproduce."""
+    equality as state identity: what build_lts must reproduce."""
     stepper = _Stepper()
     terms = [g]
     index = {g: 0}
@@ -286,7 +288,7 @@ OUT_OF_ORDER = "e -> f: F(Unit) . g -> h: G(Unit) . end"
 
 
 def product_cases():
-    """Terms whose LTS the product search must build as the reference does."""
+    """Terms whose LTS build_lts must build as the reference does."""
     cases = list(corpus_globals())
     cases += [(f"W_{k}", parse_global(workers_global(k))) for k in range(1, 5)]
     cases += [(f"P_{n}", parse_global(pairs_global(n))) for n in range(1, 9)]
@@ -318,6 +320,15 @@ def product_cases():
 PRODUCT_CASES = product_cases()
 
 
+def _reference_operands_first(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
+    """The reference's LTS, refused as build_lts refuses it: the operands on a
+    top-level par spine are each searched first, within the cap and the node
+    limit, so an operand that exceeds them alone is refused as itself."""
+    for op in par_operands(g) if isinstance(g, GPar) else ():
+        _reference_build_lts(op, cap, max_term_nodes)
+    return _reference_build_lts(g, cap, max_term_nodes)
+
+
 def outcome(build, g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
     try:
         lts = build(g, cap, max_term_nodes)
@@ -327,19 +338,39 @@ def outcome(build, g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
     return (lts.terms, lts.transitions, m.labels, lts_to_json(m))
 
 
-@pytest.mark.parametrize("name,g", PRODUCT_CASES, ids=[name for name, _ in PRODUCT_CASES])
+@functools.cache
+def pinned_draws():
+    """The random_global_type draws the benchmark's random workload reads, by seed."""
+    return {d: generate.random_global_type(random.Random(d))
+            for d in (*range(1000, 1100), *range(7000, 7025))}
+
+
+PAR_DRAWS = [(f"draw{d}", g) for d, g in pinned_draws().items() if isinstance(g, GPar)]
+
+
+@pytest.mark.parametrize("name,g", PRODUCT_CASES + PAR_DRAWS,
+                         ids=[name for name, _ in PRODUCT_CASES + PAR_DRAWS])
 def test_build_lts_agrees_with_the_reference(name, g):
     expected = outcome(_reference_build_lts, g)
     assert outcome(build_lts, g) == expected
     assert expected[0] != "refused"
     for cap in (1, 3, 7, 50):
-        assert outcome(build_lts, g, cap) == outcome(_reference_build_lts, g, cap), cap
+        assert outcome(build_lts, g, cap) == outcome(_reference_operands_first, g, cap), cap
     # A node limit just below the largest term after the initial one, which
     # is never measured, refuses that state.
     largest = max((term_nodes(t, 10**9) for t in expected[0][1:]), default=1)
     for limit in (largest - 1, largest):
         assert (outcome(build_lts, g, max_term_nodes=limit)
-                == outcome(_reference_build_lts, g, max_term_nodes=limit)), limit
+                == outcome(_reference_operands_first, g, max_term_nodes=limit)), limit
+
+
+def test_the_benchmark_draws_are_pinned():
+    # sha256 of the draws' texts, one a line; random_global_type probes each
+    # candidate with build_lts, so a change there can change the draws.
+    texts = "\n".join(pretty_global(g) for g in pinned_draws().values())
+    assert hashlib.sha256(texts.encode()).hexdigest() == \
+        "76ac2eeb6e5eb031789c79d620524f23b9fb3adee0d7d4b52b72c8e38f58e1d4"
+    assert len(PAR_DRAWS) == 15
 
 
 def test_product_ties_follow_the_rendered_product_terms():
@@ -364,6 +395,8 @@ def test_probe_verdicts_agree_with_the_reference():
         probe = (generate.PROBE_CAP, generate._PROBE_TERM_NODES)
         got, expected = outcome(build_lts, g, *probe), outcome(_reference_build_lts, g, *probe)
         assert (got[0] == "refused") == (expected[0] == "refused"), seed
+        if got[0] == "refused" and isinstance(g, GPar):
+            expected = outcome(_reference_operands_first, g, *probe)
         if not any("comparable depth" in str(o[1]) for o in (got, expected)):
             assert got == expected, seed
         kinds.add((isinstance(g, GPar), got[0] == "refused"))

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, TOKEN_FRAGMENTS
@@ -276,6 +277,29 @@ def test_string_escapes_round_trip():
     assert pf.processes["P"][1].payload.value == 'he "quoted" \\ here'
     printed = pretty_file(pf)
     assert _token_stream(printed, "p") == _token_stream(text, "o")
+
+
+def test_a_string_literal_refuses_a_newline():
+    # The syntax has no escape for a newline: printed, it would be an
+    # unterminated literal.
+    with pytest.raises(ValueError, match="newline"):
+        StrLit("a\nb")
+    assert isinstance(parse_file('process P at a = send b L("a\nb") . end;',
+                                 allow_unresolved_globals=True), list)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.text(max_size=12))
+@example('\r\t"\\ λ')
+def test_every_string_literal_prints_to_text_that_parses_back(value):
+    if "\n" in value:
+        with pytest.raises(ValueError):
+            StrLit(value)
+        return
+    text = f"process P at a = send b L({pretty_expr(StrLit(value))}) . end;"
+    pf = parse_file(text, allow_unresolved_globals=True)
+    assert isinstance(pf, ProtocolFile), pf
+    assert pf.processes["P"][1].payload == StrLit(value)
 
 
 @settings(max_examples=500, derandomize=True)

@@ -318,8 +318,10 @@ def test_wellformedness_of_globals_matches_the_reference_in_order():
     assert compared == len(_MUTANT_TEXTS) + 1
 
 
-@pytest.mark.parametrize("text", [pairs_global(10), pairs_global(40), workers_global(5)],
-                         ids=["P_10", "P_40", "W_5"])
+@pytest.mark.parametrize("text", [pairs_global(10), pairs_global(40), workers_global(5),
+                                  f"mu X . z -> y: K(Unit) . {pairs_global(10)}",
+                                  f"mu X . z -> y: K(Unit) . {pairs_global(40)}"],
+                         ids=["P_10", "P_40", "W_5", "mu-P_10", "mu-P_40"])
 def test_wellformedness_views_each_subterm_at_most_once(text, monkeypatch):
     g = _parsed_global(text)
     views = []
