@@ -313,15 +313,17 @@ def cmd_bench(args) -> int:
             passed = not violations
         except CliFailure as e:
             detail, passed = str(e), False
+        except RecursionError:
+            detail, passed = _too_deep(), False
         elapsed = time.perf_counter() - started
         rows.append((path.name, "wb", f"{detail} ({elapsed:.2f}s)", passed))
 
     for path in sorted(directory.glob("*.smpst")):
         started = time.perf_counter()
-        text = _read(str(path))
-        expect_match = _EXPECT_RE.search(text)
-        expectation = expect_match.group(1) if expect_match else "well-typed"
         try:
+            text = _read(str(path))
+            expect_match = _EXPECT_RE.search(text)
+            expectation = expect_match.group(1) if expect_match else "well-typed"
             reports, pf, classifier = _check_file(str(path), text, cap, None, False)
             verdicts = {r["verdict"] for r in reports}
             passed = verdicts == {expectation}
@@ -334,6 +336,8 @@ def cmd_bench(args) -> int:
                 detail += ", explore " + ("sound" if sound else "UNSOUND")
         except CliFailure as e:
             detail, passed = f"error: {e}", False
+        except RecursionError:
+            detail, passed = f"error: {_too_deep()}", False
         elapsed = time.perf_counter() - started
         rows.append((path.name, "check+explore", f"{detail} ({elapsed:.2f}s)", passed))
 
@@ -413,6 +417,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _too_deep() -> str:
+    return f"input nested too deeply: exceeded the recursion limit ({sys.getrecursionlimit()})"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
@@ -421,8 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"synmpst: error: {e}", file=sys.stderr)
         return e.code
     except RecursionError:
-        print(f"synmpst: error: input nested too deeply: exceeded the recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        print(f"synmpst: error: {_too_deep()}", file=sys.stderr)
         return EXIT_USAGE
 
 

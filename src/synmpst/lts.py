@@ -2,10 +2,10 @@
 
 A well-formed, closed, guarded global type reaches finitely many distinct
 terms under the transition rules; build_lts materialises that state space by
-a breadth-first search over terms. A top-level par is the product of its
-operands' LTSs, each built by that search: a product state is a vector of
-operand states, numbered as the search over the par's whole terms numbers
-them.
+one breadth-first search, _search, which also decides how states are
+numbered. For a top-level par a state is a vector of the operands' state
+ids, standing for the term put together from their terms, so the par's LTS
+is the one its whole terms would give.
 """
 from __future__ import annotations
 
@@ -30,15 +30,6 @@ class CapExceededError(Exception):
         super().__init__(message)
         self.cap = cap
         self.frontier = frontier
-
-
-def _canonical(terms) -> list[GlobalType]:
-    """Deterministic order for same-action targets; resolving by rendered term
-    is acceptable because non-deterministic classifiers are rare."""
-    out = list(terms)
-    if len(out) > 1:
-        out.sort(key=pretty_global)
-    return out
 
 
 class _Stepper:
@@ -112,8 +103,7 @@ class _Stepper:
             for action in candidates or ():
                 if action.roles & prefix_roles:
                     continue
-                target_sets = [_canonical(t for a, t in steps if a == action)
-                               for steps in per_branch]
+                target_sets = [[t for a, t in steps if a == action] for steps in per_branch]
                 for combo in itertools.product(*target_sets):
                     branches = tuple(
                         GBranch(b.label, b.payload, cont)
@@ -126,16 +116,6 @@ class _Stepper:
 def step(g: GlobalType) -> frozenset[tuple[GlobalAction, GlobalType]]:
     """All single-step transitions of a well-formed global type."""
     return _Stepper().step(g)
-
-
-def _ordered_steps(steps) -> list[tuple[GlobalAction, GlobalType]]:
-    by_action: dict[GlobalAction, list[GlobalType]] = {}
-    for action, target in steps:
-        by_action.setdefault(action, []).append(target)
-    out: list[tuple[GlobalAction, GlobalType]] = []
-    for action in sorted(by_action, key=GlobalAction.sort_key):
-        out.extend((action, t) for t in _canonical(by_action[action]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -155,33 +135,50 @@ class GlobalLts:
 
 
 _S = TypeVar("_S", bound=Hashable)
+# A move of a search state: its action's sort key, the action and the target.
+_Move = tuple[tuple[str, ...], GlobalAction, _S]
 
 
-def _search(states: list[_S], moves: Callable[[_S], Iterable[tuple[GlobalAction, _S]]],
-            cap: int, admit: Callable[[int, _S], None]) -> frozenset[tuple[int, GlobalAction, int]]:
-    """Breadth-first search from the one state in states, which gains every
-    state reached, numbered as first met in the order moves lists a state's
-    moves; returns the transitions between their ids.
+def _search(start: _S, moves: Callable[[_S], list[_Move]], term: Callable[[_S], GlobalType],
+            cap: int, admit: Callable[[int, GlobalType], None]) -> GlobalLts:
+    """Breadth-first search from start, where term gives the global type a
+    state stands for.
 
-    A new state is refused once cap states are numbered, and admit may
-    refuse it by raising before it is numbered."""
-    index = {states[0]: 0}
+    States are numbered as first met, taking a state's moves by action, then
+    same-action moves by their targets' rendered terms; targets are rendered
+    only at a state where two moves tie. A new state is refused once cap
+    states are numbered, and admit may refuse its term by raising before it
+    is numbered."""
+    states, terms = [start], [term(start)]
+    index = {start: 0}
     transitions: set[tuple[int, GlobalAction, int]] = set()
+    rendered: dict[GlobalType, str] = {}
+
+    def render(move: _Move) -> tuple[tuple[str, ...], str]:
+        return move[0], pretty_global(term(move[2]), rendered)
+
     # States are explored in id order, so a BFS level is a range of ids.
     level_start, level_end, sid = 0, 1, 0
     try:
         while sid < len(states):
             if sid == level_end:
                 level_start, level_end = level_end, len(states)
-            for action, target in moves(states[sid]):
+            out = moves(states[sid])
+            if len({key for key, _, _ in out}) < len(out):
+                out.sort(key=render)
+            else:
+                out.sort()  # distinct keys: the moves compare by key alone
+            for _, action, target in out:
                 tid = index.get(target)
                 if tid is None:
                     tid = len(states)
                     if tid >= cap:
                         raise CapExceededError(cap, tid - level_start)
-                    admit(tid, target)
+                    t = term(target)
+                    admit(tid, t)
                     index[target] = tid
                     states.append(target)
+                    terms.append(t)
                 transitions.add((sid, action, tid))
             sid += 1
     except RecursionError:
@@ -189,7 +186,7 @@ def _search(states: list[_S], moves: Callable[[_S], Iterable[tuple[GlobalAction,
             cap, len(states),
             f"state terms grew beyond comparable depth after {len(states)} states; "
             "the type's reordering closure is likely unbounded") from None
-    return frozenset(transitions)
+    return GlobalLts(tuple(terms), frozenset(transitions))
 
 
 def par_operands(g: GlobalType) -> tuple[GlobalType, ...]:
@@ -233,56 +230,18 @@ def _spine_terms(g: GlobalType, parts: Sequence[GlobalLts]
     return lambda v: term(v, spine)
 
 
-def _par_lts(g: GPar, parts: Sequence[GlobalLts], cap: int,
-             admit: Callable[[int, GlobalType], None]) -> GlobalLts:
-    """The LTS of g from the LTSs of the operands on its par spine.
-
-    The step rule of par interleaves its operands' moves, so a state is a
-    vector of operand state ids and each of its moves changes one component.
-    States are numbered, successors ordered and admitted as the search over
-    g's whole terms does: by action, then same-action targets by their
-    rendered terms. The search hashes no product term but to order those."""
-    term = _spine_terms(g, parts)
-    rows = [[[] for _ in p.terms] for p in parts]
-    for row, p in zip(rows, parts):
-        for s, a, t in p.transitions:
-            row[s].append((a.sort_key(), a, t))
-    rendered: dict[GlobalType, str] = {}
-
-    def moves(v: tuple[int, ...]) -> list[tuple[GlobalAction, tuple[int, ...]]]:
-        out = []
-        for k, i in enumerate(v):
-            head, tail = v[:k], v[k + 1:]
-            out += [(key, a, head + (t,) + tail) for key, a, t in rows[k][i]]
-        if len({key for key, _, _ in out}) < len(out):
-            out.sort(key=lambda move: (move[0], pretty_global(term(move[2]), rendered)))
-        else:
-            out.sort()  # distinct keys: the tuples compare by key alone
-        return [(a, w) for _, a, w in out]
-
-    terms = [g]
-
-    def admit_vector(tid: int, v: tuple[int, ...]) -> None:
-        t = term(v)
-        admit(tid, t)
-        terms.append(t)
-
-    transitions = _search([(0,) * len(parts)], moves, cap, admit_vector)
-    return GlobalLts(tuple(terms), transitions)
-
-
 def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
               max_term_nodes: Optional[int] = None) -> GlobalLts:
     """Breadth-first closure of step from g, structural equality being state
-    identity. States are numbered as first met, and a state's successors
-    ordered by action, then same-action targets by their rendered terms.
+    identity, numbered and ordered by _search.
 
-    A term whose top is a par is the product of the LTSs of the operands on
-    its par spine, each built first, within the cap, by the search over its
-    terms: the states and transitions are those of the search over g's whole
-    terms, but each operand state is stepped once and a product state costs
-    a vector of operand ids. A par under a prefix or a mu is part of its
-    operand.
+    A term whose top is a par is searched over vectors of state ids of the
+    operands on its par spine, each operand's LTS built first, within the cap,
+    by the search over its terms. The step rule of par interleaves its
+    operands' moves, so each move of a vector changes one component; the
+    states and transitions are those of the search over g's whole terms, but
+    each operand state is stepped once. A par under a prefix or a mu is part
+    of its operand.
 
     max_term_nodes bounds the size of individual state terms; out-of-order
     reordering can make a recursive type's closure unbounded, in which case
@@ -301,10 +260,26 @@ def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
 
     operands = par_operands(g)
     if len(operands) > 1:
-        return _par_lts(g, [build_lts(op, cap, max_term_nodes) for op in operands], cap, admit)
-    stepper, terms = _Stepper(), [g]
-    transitions = _search(terms, lambda t: _ordered_steps(stepper.step(t)), cap, admit)
-    return GlobalLts(tuple(terms), transitions)
+        parts = [build_lts(op, cap, max_term_nodes) for op in operands]
+        rows = [[[] for _ in p.terms] for p in parts]
+        for row, p in zip(rows, parts):
+            for s, a, t in p.transitions:
+                row[s].append((a.sort_key(), a, t))
+
+        def moves(v: tuple[int, ...]) -> list[_Move]:
+            out = []
+            for k, i in enumerate(v):
+                head, tail = v[:k], v[k + 1:]
+                out += [(key, a, head + (t,) + tail) for key, a, t in rows[k][i]]
+            return out
+        start, term = (0,) * len(parts), _spine_terms(g, parts)
+    else:
+        stepper = _Stepper()
+
+        def moves(t: GlobalType) -> list[_Move]:
+            return [(a.sort_key(), a, t2) for a, t2 in stepper.step(t)]
+        start, term = g, lambda t: t
+    return _search(start, moves, term, cap, admit)
 
 
 # ---------------------------------------------------------------------------

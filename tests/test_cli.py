@@ -369,6 +369,26 @@ def test_bench_row_without_sessions_fails(capsys, tmp_path):
     assert "SOME ROWS FAILED (2 rows)" in out
 
 
+def test_bench_reports_unreadable_and_too_deep_files_as_rows(capsys, tmp_path):
+    shutil.copy(RING, tmp_path)
+    (tmp_path / "latin1.smpst").write_bytes("global G = end; // caf\xe9\n".encode("latin-1"))
+    (tmp_path / "chain.smpst").write_text(
+        "global G = " + "a -> b: Foo(Nat) . " * 400 + "end;\n"
+        "process A at a = end;\nprocess B at b = end;\nsession S of G = { a: A, b: B };\n")
+    (tmp_path / "deep.mlts.json").write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, "bench", str(tmp_path))
+    assert code == 1
+    assert err == ""
+    rows = out.splitlines()[:-1]
+    assert [row.split()[:2] for row in rows] == [
+        ["FAIL", "deep.mlts.json"], ["FAIL", "chain.smpst"], ["FAIL", "latin1.smpst"],
+        ["PASS", "ring.smpst"]]
+    too_deep = "input nested too deeply: exceeded the recursion limit ("
+    assert too_deep in rows[0] and f"error: {too_deep}" in rows[1]
+    assert "error: cannot read " in rows[2] and "not UTF-8 text (byte 22)" in rows[2]
+    assert out.splitlines()[-1] == "SOME ROWS FAILED (4 rows)"
+
+
 def test_bench_without_inputs_is_a_usage_error(capsys, tmp_path):
     (tmp_path / "notes.txt").write_text("no protocols here\n")
     code, out, err = run_cli(capsys, "bench", str(tmp_path))
@@ -531,14 +551,33 @@ def test_classifiers_resolved_once_per_file(capsys, monkeypatch, tmp_path):
     assert calls == {"build_lts": 1, "check_well_behaved": 1}
 
 
-def test_perfbench_tracer_finds_every_name_it_traces():
-    """perfbench/tracer.py wraps functions at the module and name their
-    callers resolve; renaming or deleting one must fail here."""
+def _perfbench_tracer():
+    """perfbench/tracer.py, loaded by path."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    return tracer_module
+
+
+def test_perfbench_tracer_targets_resolve():
+    """Every function perfbench/tracer.py times or counts is still found at
+    the module and name it gives; nothing is wrapped."""
+    tracer_module = _perfbench_tracer()
+    missing = []
+    for module, attribute, *_ in tracer_module.SPANS + tracer_module.CALL_COUNTS:
+        try:
+            owner, name = tracer_module._resolve(module, attribute)
+            getattr(owner, name)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{attribute}")
+    assert not missing, f"tracer targets that no longer resolve: {', '.join(missing)}"
+
+
+def test_perfbench_tracer_finds_every_name_it_traces():
+    """perfbench/tracer.py wraps functions at the module and name their
+    callers resolve; renaming or deleting one must fail here."""
+    tracer = _perfbench_tracer().Tracer()
     tracer.install()
     try:
         assert tracer.missing == []

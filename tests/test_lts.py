@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst import generate
 from synmpst.lts import (DEFAULT_STATE_CAP, CapExceededError, GlobalLts,
-                         _ordered_steps, _Stepper, build_lts, lts_to_dot,
+                         _Stepper, build_lts, lts_to_dot,
                          lts_to_json, par_operands,
                          reach_strong_without, reach_without, step, step_with)
 from synmpst.mlts import Mlts
@@ -236,6 +236,17 @@ def test_json_export_round_trips_as_mlts(ring_lts, ring_m):
 # -- the product search against a breadth-first search over whole terms ------
 
 
+def _reference_order(steps):
+    """A state's successors as build_lts must order them: by action, then
+    same-action targets by their rendered terms."""
+    by_action = {}
+    for action, target in steps:
+        by_action.setdefault(action, []).append(target)
+    return [(action, t)
+            for action in sorted(by_action, key=GlobalAction.sort_key)
+            for t in sorted(by_action[action], key=pretty_global)]
+
+
 def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
     """build_lts as a breadth-first search over whole terms, with structural
     equality as state identity: what build_lts must reproduce."""
@@ -248,7 +259,7 @@ def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
         while frontier:
             next_frontier = []
             for sid in frontier:
-                for action, target in _ordered_steps(stepper.step(terms[sid])):
+                for action, target in _reference_order(stepper.step(terms[sid])):
                     tid = index.get(target)
                     if tid is None:
                         if len(terms) >= cap:
@@ -381,6 +392,14 @@ def test_product_ties_follow_the_rendered_product_terms():
                      if s == 0 and t != 0][:2]
     assert (first, second) == ("par { X\t || c -> d: N(Unit) . end }",
                                "par { X || c -> d: N(Unit) . end }")
+
+
+def test_term_ties_follow_the_rendered_terms():
+    # Alone, the fork's targets "X" and "X\t" are taken in their own order.
+    (_, g), = [case for case in PRODUCT_CASES if case[0] == "nondeterministic-alone"]
+    lts = build_lts(g)
+    assert [pretty_global(t) for t in lts.terms] == [pretty_global(g), "X", "X\t"]
+    assert len(lts.transitions) == 2
 
 
 def test_probe_verdicts_agree_with_the_reference():
