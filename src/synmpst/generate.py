@@ -34,7 +34,7 @@ def random_global_type(rng: random.Random, *, max_depth: int = 6,
         assert not check_wellformed_global(g)
         try:
             build_lts(g, PROBE_CAP, max_term_nodes=_PROBE_TERM_NODES)
-        except CapExceededError:  # also raised when a state term nests too deeply
+        except (CapExceededError, RecursionError):
             continue
         return g
 

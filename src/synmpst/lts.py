@@ -148,7 +148,9 @@ def _search(start: _S, moves: Callable[[_S], list[_Move]], term: Callable[[_S], 
     same-action moves by their targets' rendered terms; targets are rendered
     only at a state where two moves tie. A new state is refused once cap
     states are numbered, and admit may refuse its term by raising before it
-    is numbered."""
+    is numbered. A RecursionError while start is expanded is the input's own
+    depth and propagates; one at a state the search reached means its terms
+    grew, and is refused as a likely unbounded closure."""
     states, terms = [start], [term(start)]
     index = {start: 0}
     transitions: set[tuple[int, GlobalAction, int]] = set()
@@ -182,6 +184,8 @@ def _search(start: _S, moves: Callable[[_S], list[_Move]], term: Callable[[_S], 
                 transitions.add((sid, action, tid))
             sid += 1
     except RecursionError:
+        if sid == 0:
+            raise
         raise CapExceededError(
             cap, len(states),
             f"state terms grew beyond comparable depth after {len(states)} states; "
@@ -247,10 +251,6 @@ def build_lts(g: GlobalType, cap: int = DEFAULT_STATE_CAP,
     reordering can make a recursive type's closure unbounded, in which case
     state terms grow without limit on the way to the cap.
     """
-    # A term too deep to hash is refused by the caller as nested too deeply,
-    # not here as an unbounded closure; the hash is cached for the search.
-    hash(g)
-
     def admit(tid: int, term: GlobalType) -> None:
         if max_term_nodes and term_nodes(term, max_term_nodes) > max_term_nodes:
             raise CapExceededError(

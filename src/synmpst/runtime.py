@@ -74,9 +74,10 @@ def session_step(sess: Session, memo: Optional[dict] = None
     `memo`, when given, is a dict owned by the caller that keeps every local
     move computed so far, so that stepping many sessions which share
     processes unfolds, substitutes and evaluates each distinct one once.
-    Keys are processes, so a memo hashes every process it meets; without
-    one, nothing is hashed.
+    Without one, a fresh dict serves this call alone.
     """
+    if memo is None:
+        memo = {}
     procs = dict(sess.entries)
     steps: list[tuple[RuntimeAction, Session]] = []
     for role, proc in sess.entries:
@@ -96,10 +97,8 @@ def session_step(sess: Session, memo: Optional[dict] = None
     return steps
 
 
-def _cached(memo: Optional[dict], key, compute, *args):
-    """compute(*args), looked up in and kept in memo under key if there is one."""
-    if memo is None:
-        return compute(*args)
+def _cached(memo: dict, key, compute, *args):
+    """compute(*args), looked up in and kept in memo under key."""
     try:
         return memo[key]
     except KeyError:
@@ -139,10 +138,11 @@ def _rendezvous(role: Role, send: PSend, recv: PRecv):
 def run(sess: Session, seed: int, max_steps: int) -> Trace:
     """Seeded uniform-random scheduler; stops at quiescence or max_steps."""
     rng = random.Random(seed)
+    memo: dict = {}
     actions: list[RuntimeAction] = []
     current = sess
     for _ in range(max_steps):
-        steps = session_step(current)
+        steps = session_step(current, memo)
         if not steps:
             break
         action, current = steps[rng.randrange(len(steps))]
@@ -152,9 +152,10 @@ def run(sess: Session, seed: int, max_steps: int) -> Trace:
 
 def replay_trace(sess: Session, trace: Trace) -> Session:
     """Apply the trace's actions from sess; raises if an action is not enabled."""
+    memo: dict = {}
     current = sess
     for i, action in enumerate(trace.actions):
-        matching = [after for a, after in session_step(current) if a == action]
+        matching = [after for a, after in session_step(current, memo) if a == action]
         if not matching:
             raise ValueError(f"trace action {i} ({action}) is not enabled")
         current = matching[0]

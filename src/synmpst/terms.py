@@ -6,7 +6,7 @@ outside structural equality so that parsed and hand-built terms compare equal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import islice
 from operator import add, attrgetter, mul
@@ -36,23 +36,37 @@ RecVarName = str
 _SPAN = dict(default=None, compare=False, repr=False)
 
 
-def _cached_hash(cls):
-    """Cache the dataclass-generated structural hash per instance.
+def _term(cls):
+    """Declare a term class: a frozen dataclass whose structural hash is
+    computed once, when an instance is built, and stored in it.
 
-    Terms produced by unfolding recursion can grow large, and state-space
-    construction hashes them constantly; without caching that is quadratic.
+    A term's fields are built before it, with their hashes stored, so the
+    hash costs O(fields) and never recurses, however deep the term is;
+    state-space construction hashes terms constantly. The value is the one
+    the dataclass would generate, the hash of the tuple of compared fields,
+    so equal terms hash alike.
     """
-    generated = cls.__hash__
+    validate = cls.__dict__.get("__post_init__")
 
-    def __hash__(self):
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-        return value
+    def __post_init__(self):
+        if validate is not None:
+            validate(self)
+        object.__setattr__(self, "_hash", hash(compared(self)))
 
-    cls.__hash__ = __hash__
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    # The tuple is built by attrgetter, in C: the generated __hash__ would be
+    # one more Python frame on top of every term built at the foot of a deep
+    # recursion, such as the parser's, and would lower the nesting limits.
+    names = [f.name for f in fields(cls) if f.compare]
+    get = attrgetter(*names) if names else lambda t: ()
+    compared = cls._compared = get if len(names) != 1 else lambda t: (get(t),)
+    cls.__hash__ = _stored_hash
     return cls
+
+
+def _stored_hash(term) -> int:
+    return term._hash
 
 
 class PayloadType(enum.Enum):
@@ -70,8 +84,7 @@ class PayloadType(enum.Enum):
 PAYLOAD_TYPES = {t.value: t for t in PayloadType}
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GlobalAction:
     """One communication event: sender -> receiver : label(payload)."""
     sender: Role
@@ -103,8 +116,7 @@ class GlobalType:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GBranch:
     """One alternative of a communication: label(payload) . continuation."""
     label: Label
@@ -112,8 +124,7 @@ class GBranch:
     cont: GlobalType
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GComm(GlobalType):
     """Communication choice: sender -> receiver { branches }."""
     sender: Role
@@ -122,8 +133,7 @@ class GComm(GlobalType):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GMu(GlobalType):
     """Recursion binder: mu X . body."""
     var: RecVarName
@@ -131,23 +141,20 @@ class GMu(GlobalType):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GVar(GlobalType):
     """Recursion variable occurrence."""
     var: RecVarName
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GEnd(GlobalType):
     """Terminated protocol."""
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class GPar(GlobalType):
     """Interleaving of two protocols over disjoint role sets."""
     left: GlobalType
@@ -164,21 +171,18 @@ class Expr:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class UnitLit(Expr):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class BoolLit(Expr):
     value: bool
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class NatLit(Expr):
     value: int
     span: Optional[SourceSpan] = field(**_SPAN)
@@ -188,15 +192,13 @@ class NatLit(Expr):
             raise ValueError("natural literal must be non-negative")
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class IntLit(Expr):
     value: int
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class StrLit(Expr):
     value: str
     span: Optional[SourceSpan] = field(**_SPAN)
@@ -207,15 +209,13 @@ class StrLit(Expr):
             raise ValueError("string literal must not contain a newline")
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class VarRef(Expr):
     name: VarName
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class BinaryExpr(Expr):
     """An operator applied to two operands; each operator of BINARY_OPS is a subclass."""
     left: Expr
@@ -279,8 +279,7 @@ class Process:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class RecvBranch:
     """One alternative of a receive: label(binder: annot) . continuation."""
     label: Label
@@ -289,8 +288,7 @@ class RecvBranch:
     cont: Process
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PSend(Process):
     """Send label(payload) to a role, then continue."""
     to: Role
@@ -300,8 +298,7 @@ class PSend(Process):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PRecv(Process):
     """Receive one of several labelled messages from a role."""
     from_: Role
@@ -309,8 +306,7 @@ class PRecv(Process):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PLet(Process):
     binder: VarName
     rhs: Expr
@@ -318,8 +314,7 @@ class PLet(Process):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PIf(Process):
     cond: Expr
     then: Process
@@ -327,29 +322,25 @@ class PIf(Process):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PRec(Process):
     var: RecVarName
     body: Process
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PVar(Process):
     var: RecVarName
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class PEnd(Process):
     span: Optional[SourceSpan] = field(**_SPAN)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@_term
 class Session:
     """Finite family of processes, at most one per role.
 
@@ -376,11 +367,12 @@ class Session:
 
         The roles and their order stay, so the new session keeps the sorted,
         validated layout and shares every unchanged entry instead of being
-        built afresh.
+        built afresh; not being built by __init__, it stores its hash itself.
         """
         after = object.__new__(Session)
         object.__setattr__(after, "entries", tuple(
             (e[0], updates[e[0]]) if e[0] in updates else e for e in self.entries))
+        object.__setattr__(after, "_hash", hash(Session._compared(after)))
         return after
 
 

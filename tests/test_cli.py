@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import pathlib
+import random
 import shutil
 
 import pytest
@@ -12,6 +13,8 @@ import synmpst.cli
 import synmpst.runtime
 from conftest import CORPUS, TOKEN_FRAGMENTS
 from synmpst.cli import main
+from synmpst.generate import _candidate
+from synmpst.terms import pretty_global
 
 RING = str(CORPUS / "ring.smpst")
 
@@ -522,6 +525,49 @@ def test_depth_failure_is_a_usage_error(capsys, tmp_path, command):
     assert err.startswith("synmpst: error: ") and "recursion limit" in err
 
 
+def _load_by_path(*parts):
+    """A module of the repository outside the package, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent.joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The prefix chains whose nesting limits the script measures.
+NESTING = _load_by_path("scripts", "nesting_limits.py")
+
+
+@pytest.mark.parametrize("command", ["lts", "wb", "check", "explore"])
+def test_a_deep_but_finite_input_is_refused_as_nested_too_deeply(capsys, tmp_path, command):
+    # Stepping a 150-step wrapped chain exceeds the recursion limit at its
+    # initial state: the input's own depth, not a closure that grew.
+    chain = tmp_path / "chain.smpst"
+    chain.write_text(NESTING.wrapped(150))
+    code, out, err = run_cli(capsys, command, str(chain))
+    assert code == 2
+    assert out == ""
+    assert "input nested too deeply" in err and "comparable depth" not in err
+
+
+def test_an_unbounded_closure_is_still_refused_as_unbounded(capsys, tmp_path):
+    proto = tmp_path / "unbounded.smpst"
+    g = _candidate(random.Random(52), 6, ("a", "b", "c", "d"), 3)
+    proto.write_text(f"global G = {pretty_global(g)};\n")
+    code, out, err = run_cli(capsys, "lts", str(proto))
+    assert code == 2
+    assert out == ""
+    assert "likely unbounded" in err and "nested too deeply" not in err
+
+
+@pytest.mark.parametrize("command", ["lts", "wb", "check", "explore"])
+def test_a_250_step_chain_is_accepted(capsys, tmp_path, command):
+    chain = tmp_path / "chain.smpst"
+    chain.write_text(NESTING.plain(250))
+    code, _, err = run_cli(capsys, command, str(chain))
+    assert (code, err) == (0, "")
+
+
 def test_classifiers_resolved_once_per_file(capsys, monkeypatch, tmp_path):
     calls = {"build_lts": 0, "check_well_behaved": 0}
 
@@ -553,11 +599,7 @@ def test_classifiers_resolved_once_per_file(capsys, monkeypatch, tmp_path):
 
 def _perfbench_tracer():
     """perfbench/tracer.py, loaded by path."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
-    return tracer_module
+    return _load_by_path("perfbench", "tracer.py")
 
 
 def test_perfbench_tracer_targets_resolve():

@@ -255,6 +255,7 @@ def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
     index = {g: 0}
     transitions = set()
     frontier = [0]
+    sid = 0
     try:
         while frontier:
             next_frontier = []
@@ -276,6 +277,8 @@ def _reference_build_lts(g, cap=DEFAULT_STATE_CAP, max_term_nodes=None):
                     transitions.add((sid, action, tid))
             frontier = next_frontier
     except RecursionError:
+        if sid == 0:
+            raise   # the input's own depth, refused by the caller
         raise CapExceededError(
             cap, len(terms),
             f"state terms grew beyond comparable depth after {len(terms)} states; "

@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,10 @@ from conftest import CORPUS, pairs_global, workers_global
 from synmpst import terms
 from synmpst.generate import random_global_type
 from synmpst.parser import parse_file
-from synmpst.terms import (Eq, GBranch, GComm, GEnd, GMu, GPar, GVar, NatLit,
-                           PayloadType, PEnd, PIf, PRec, PRecv, PSend, PVar, PLet,
-                           RecvBranch, Session, VarRef, Mul, WfViolation,
+from synmpst.terms import (Add, BoolLit, Eq, GBranch, GComm, GEnd, GlobalAction, GMu,
+                           GPar, GVar, IntLit, NatLit, PayloadType, PEnd, PIf, PRec,
+                           PRecv, PSend, PVar, PLet, RecvBranch, Session, SourceSpan,
+                           StrLit, UnitLit, VarRef, Mul, WfViolation,
                            check_wellformed_global, check_wellformed_process,
                            free_expr_vars, free_global_vars,
                            free_process_rec_vars, is_message_guarded,
@@ -430,3 +433,78 @@ def test_literal_and_action_invariants():
         NatLit(-1)
     with _pytest.raises(ValueError):
         GlobalAction("a", "a", "L", PayloadType.UNIT)
+
+
+# -- hashing -----------------------------------------------------------------
+
+def _chains(n):
+    """Every node of an n-step global type chain and of an n-step send chain,
+    built bottom-up and not yet hashed, each chain's root first."""
+    g, p = GEnd(), PEnd()
+    nodes = [g, p]
+    for _ in range(n):
+        g = comm("a", "b", "L", NAT, g)
+        p = PSend("b", "L", NatLit(1), p)
+        nodes += [g, p]
+    return nodes[::-1]
+
+
+def test_hashing_a_deep_term_never_recurses():
+    # The roots are hashed first, so a hash that recursed into fields it had
+    # not yet hashed would exceed the recursion limit there.
+    assert sys.getrecursionlimit() < 5000
+    chains, again = _chains(5000), _chains(5000)
+    assert [hash(t) for t in chains] == [hash(t) for t in again]
+
+
+_SPAN = SourceSpan("f.smpst", 1, 1, 1, 2)
+_ONE_OF_EACH = [
+    GlobalAction("a", "b", "L", NAT), GBranch("L", NAT, GEnd()), comm("a", "b", "L", NAT, GEnd()),
+    GMu("X", GVar("X")), GVar("X"), GEnd(), GPar(GEnd(), GEnd()),
+    UnitLit(), BoolLit(True), NatLit(1), IntLit(-1), StrLit("s"), VarRef("x"),
+    Add(NatLit(1), VarRef("x")), Mul(NatLit(1), NatLit(2)), Eq(UnitLit(), UnitLit()),
+    RecvBranch("L", "x", NAT, PEnd()), PSend("b", "L", NatLit(1), PEnd()),
+    PRecv("b", (RecvBranch("L", "x", NAT, PVar("X")),)), PLet("x", NatLit(1), PEnd()),
+    PIf(BoolLit(True), PEnd(), PVar("X")), PRec("X", PVar("X")), PVar("X"), PEnd(),
+    Session((("b", PEnd()), ("a", PVar("X")))),
+]
+
+
+def test_every_term_class_is_covered():
+    declared = {cls for cls in vars(terms).values()
+                if isinstance(cls, type) and cls.__hash__ is terms._stored_hash}
+    assert len(declared) == 26     # 23 declarations and BinaryExpr's three operators
+    assert {type(t) for t in _ONE_OF_EACH} == declared - {terms.BinaryExpr}
+
+
+@pytest.mark.parametrize("t", _ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_every_way_of_building_a_term_stores_the_same_hash(t):
+    built = replace(t)
+    assert built is not t and built == t and hash(built) == hash(t)
+    if "span" in {f.name for f in fields(t)}:
+        placed = replace(t, span=_SPAN)
+        assert placed == t and hash(placed) == hash(t)
+
+
+def test_session_with_processes_stores_the_hash_of_the_session_it_equals():
+    sess = Session((("c", PEnd()), ("a", PEnd()), ("b", PVar("X"))))
+    sent = PSend("a", "L", NatLit(1), PEnd())
+    after = sess.with_processes({"b": sent})
+    built = Session((("b", sent), ("c", PEnd()), ("a", PEnd())))
+    assert after == built and hash(after) == hash(built)
+    assert {built: "found"}[after] == "found"
+
+
+def _rebuilt(t):
+    """A copy of t built afresh through _rebuild, node by node."""
+    return terms._rebuild(t, tuple(_rebuilt(s) for s in terms._subterms(t)))
+
+
+def test_a_term_rebuilt_node_by_node_hashes_like_the_original():
+    from test_parser import random_process
+    rng = random.Random(0)
+    cases = [random_global_type(random.Random(d)) for d in range(200)]
+    cases += [random_process(rng, 4) for _ in range(400)]
+    for t in cases:
+        copy = _rebuilt(t)
+        assert copy == t and hash(copy) == hash(t)
