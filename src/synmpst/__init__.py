@@ -14,8 +14,8 @@ from .terms import (GBranch, GComm, GEnd, GlobalAction, GlobalType, GMu, GPar,
                     substitute_process_val)
 from .lts import (CapExceededError, GlobalLts, build_lts, par_operands,
                   reach_strong_without, reach_without, step, step_with)
-from .mlts import (Mlts, WbViolation, check_well_behaved, receiver_disjoint,
-                   replay_violation)
+from .mlts import (Mlts, Violations, WbViolation, check_well_behaved,
+                   receiver_disjoint, replay_violation)
 from .typecheck import (Checker, Derivation, TcError, render_derivation,
                         type_expr, type_process, type_session, try_skip)
 from .runtime import (EvalError, ExploreReport, TauAction, Trace,

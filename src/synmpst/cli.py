@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .lts import (DEFAULT_STATE_CAP, CapExceededError, build_lts, lts_to_dot,
                   lts_to_json, par_operands)
-from .mlts import Mlts, check_well_behaved
+from .mlts import Mlts, Violations, check_well_behaved
 from .parser import ProtocolFile, parse_file, parse_mlts
 from .runtime import explore, render_message_sequence, run, trace_to_json_lines
 from .terms import GlobalType, Session
@@ -128,7 +128,7 @@ def _load(path: str, text: str, cap: int, mlts_path: Optional[str], allow_unveri
             violations = [] if allow_unverified else check_well_behaved(external)
             if violations:
                 raise CliFailure(
-                    f"{external_path} is not well-behaved ({len(violations)} violation(s)); "
+                    f"{external_path} is not well-behaved ({violations.total} violation(s)); "
                     "pass --allow-unverified to check anyway", EXIT_SEMANTIC)
             return (external,)
         return _operands(pf, name, cap)
@@ -217,10 +217,11 @@ def cmd_lts(args) -> int:
 
 def cmd_wb(args) -> int:
     cap = _state_cap(args)
-    results = []
+    # Per subject, the violations of each LTS checked, with the index of its
+    # operand when the subject's global has two or more.
+    results: list[tuple[str, list[tuple[Optional[int], Violations]]]] = []
     if args.file.endswith(".json"):
-        m = _parse_mlts_file(args.file)
-        results.append((args.file, [(None, v) for v in check_well_behaved(m)]))
+        results.append((args.file, [(None, check_well_behaved(_parse_mlts_file(args.file)))]))
     else:
         pf = _parse_protocol(args.file, _read(args.file))
         if not pf.globals:
@@ -231,22 +232,26 @@ def cmd_wb(args) -> int:
         for name in pf.globals:
             operands = _operands(pf, name, cap)
             results.append((f"{args.file}:{name}", [
-                (i if len(operands) > 1 else None, v)
-                for i, m in enumerate(operands) for v in check_well_behaved(m)]))
-    any_violation = any(v for _, v in results)
+                (i if len(operands) > 1 else None, check_well_behaved(m))
+                for i, m in enumerate(operands)]))
+    well_behaved = [not any(violations for _, violations in checked) for _, checked in results]
     if args.format == "json":
         doc = [{"subject": subject,
-                "well_behaved": not violations,
+                "well_behaved": ok,
                 "violations": [v.to_json_obj() if i is None else {**v.to_json_obj(), "operand": i}
-                               for i, v in violations]}
-               for subject, violations in results]
+                               for i, violations in checked for v in violations]}
+               for (subject, checked), ok in zip(results, well_behaved)]
         print(json.dumps(doc, indent=2))
     else:
-        for subject, violations in results:
-            print(f"{subject}: well-behaved: {'no' if violations else 'yes'}")
-            for i, v in violations:
-                print(f"  {v}" + ("" if i is None else f" (operand {i})"))
-    return EXIT_SEMANTIC if any_violation else EXIT_OK
+        for (subject, checked), ok in zip(results, well_behaved):
+            print(f"{subject}: well-behaved: {'yes' if ok else 'no'}")
+            for i, violations in checked:
+                where = "" if i is None else f" (operand {i})"
+                for v in violations:
+                    print(f"  {v}{where}")
+                for condition, more in violations.unlisted().items():
+                    print(f"  ({more} more {condition} violations not listed){where}")
+    return EXIT_OK if all(well_behaved) else EXIT_SEMANTIC
 
 
 def _pick_session(pf: ProtocolFile, wanted: Optional[str]) -> tuple[str, Session]:
@@ -309,7 +314,7 @@ def cmd_bench(args) -> int:
         started = time.perf_counter()
         try:
             violations = check_well_behaved(_parse_mlts_file(str(path)))
-            detail = "well-behaved" if not violations else f"{len(violations)} violations"
+            detail = "well-behaved" if not violations else f"{violations.total} violations"
             passed = not violations
         except CliFailure as e:
             detail, passed = str(e), False

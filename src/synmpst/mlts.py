@@ -45,16 +45,13 @@ class _Table:
     """
 
     def __init__(self, n: int, transitions: frozenset[tuple[int, GlobalAction, int]]) -> None:
-        # Number actions as first met, then renumber them in sort order: each
-        # transition's action is hashed once.
-        seen: dict[GlobalAction, int] = {}
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.actions = tuple(sorted({a for _, a, _ in transitions}, key=GlobalAction.sort_key))
+        self.ids = ids = {a: x for x, a in enumerate(self.actions)}
+        self.rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for src, action, dst in transitions:
-            rows[src].append((seen.setdefault(action, len(seen)), dst))
-        self.actions = tuple(sorted(seen, key=GlobalAction.sort_key))
-        self.ids = {a: x for x, a in enumerate(self.actions)}
-        renumber = [self.ids[a] for a in seen]
-        self.rows = tuple(tuple(sorted((renumber[x], dst) for x, dst in row)) for row in rows)
+            self.rows[src].append((ids[action], dst))
+        for row in self.rows:
+            row.sort()
 
         # Bits for roles and for ordered pairs, in order of first occurrence.
         self.bits: dict[str, int] = {}
@@ -231,14 +228,31 @@ class WbViolation:
         }
 
 
-def check_well_behaved(m: Mlts) -> list[WbViolation]:
+class Violations(list):
+    """The witnesses check_well_behaved lists, at most _WITNESS_CAP of each
+    condition, with every condition's number of violations in `counts`."""
+
+    def __init__(self, witnesses: list[WbViolation], counts: dict[str, int]) -> None:
+        super().__init__(witnesses)
+        self.counts = counts
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def unlisted(self) -> dict[str, int]:
+        """Each capped condition's number of violations left out of the list."""
+        return {c: n - _WITNESS_CAP for c, n in self.counts.items() if n > _WITNESS_CAP}
+
+
+def check_well_behaved(m: Mlts) -> Violations:
     """Exhaustively check all four conditions; empty list means well-behaved.
 
     Violations are data, not failures. They are listed state by state in id
     order; at each state, SenderDeterminacy, Determinism,
     ConditionalCommutativity, then Diamond, with pairs of transitions taken in
     transitions_from order. Only the first _WITNESS_CAP violations of each
-    condition are listed, to keep reports readable.
+    condition are listed, to keep reports readable; the counts cover them all.
 
     The conditions run on the integer-coded table: role tests are bit tests
     and every probe is keyed on an action id, so GlobalAction objects are
@@ -257,39 +271,56 @@ def check_well_behaved(m: Mlts) -> list[WbViolation]:
             out.append(WbViolation(condition, states, witness, message))
         counts[condition] += 1
 
+    # Sets of action ids as bitmasks: those each state offers, and those of
+    # each ordered pair, by the pair's bit.
+    bit = [1 << x for x in range(len(actions))]
+    offered = [sum(map(bit.__getitem__, here)) for here in targets]
+    pair_actions = dict.fromkeys(pair, 0)
+    for x, p in enumerate(pair):
+        pair_actions[p] |= bit[x]
+    # Every state offers each action to at most one target.
+    deterministic = sum(map(len, rows)) == sum(map(len, targets))
+
     # An action is never receiver-disjoint from itself and always shares its
     # own pair, so neither loop over co-initial pairs needs to skip x1 == x2.
     for s in m.states:
         row, here = rows[s], targets[s]
+        if len(row) < 2:  # every condition needs two transitions of s
+            continue
+
+        # One pass over the row. Actions of one pair are adjacent in it, so
+        # the first action of each pair adds the pair's bits; a receiver
+        # involved in another pair's actions is a sender-determinacy clash.
+        pairs_at_s = seen_masks = seen_rcvs = paired = successors = 0
+        clash = False
+        for x, dst in row:
+            successors |= offered[dst]
+            if not pair[x] & pairs_at_s:
+                pairs_at_s |= pair[x]
+                paired |= pair_actions[pair[x]]
+                if rcv[x] & seen_masks or mask[x] & seen_rcvs:
+                    clash = True
+                seen_masks |= mask[x]
+                seen_rcvs |= rcv[x]
 
         # 1. Sender determinacy: co-initial actions are receiver-disjoint or
         # share both sender and receiver.
-        for i, (x1, _) in enumerate(row):
-            for x2, _ in row[i + 1:]:
-                if pair[x1] != pair[x2] and (rcv[x1] & mask[x2] or rcv[x2] & mask[x1]):
-                    emit(SENDER_DETERMINACY, (s,), (x1, x2))
+        if clash:
+            for i, (x1, _) in enumerate(row):
+                for x2, _ in row[i + 1:]:
+                    if pair[x1] != pair[x2] and (rcv[x1] & mask[x2] or rcv[x2] & mask[x1]):
+                        emit(SENDER_DETERMINACY, (s,), (x1, x2))
 
-        # 2. Determinism: one action, one target.
-        for x, dsts in here.items():
-            if len(dsts) > 1:
-                emit(DETERMINISM, (s, *dsts[:2]), (x,))
+        # 2. Determinism: one action, one target. The row has an entry per
+        # target, so it is longer than `here` exactly when some action has two.
+        if len(row) != len(here):
+            for x, dsts in here.items():
+                if len(dsts) > 1:
+                    emit(DETERMINISM, (s, *dsts[:2]), (x,))
 
-        # 3. Conditional commutativity: an already-available communication
-        # stays reorderable with an unrelated one taken first.
-        pairs_at_s = 0
-        for x, _ in row:
-            pairs_at_s |= pair[x]
-        for x1, s1 in row:
-            for x2, s_prime in rows[s1]:
-                if mask[x2] & mask[x1] or not pair[x2] & pairs_at_s:
-                    continue
-                for mid in here.get(x2, ()):
-                    if s_prime in targets[mid].get(x1, ()):
-                        break
-                else:
-                    emit(CONDITIONAL_COMMUTATIVITY, (s, s1, s_prime), (x1, x2))
-
-        # 4. Diamond: receiver-disjoint co-initial actions converge.
+        # 4. Diamond: receiver-disjoint co-initial actions converge. Its
+        # witnesses are listed after condition 3's, which reads whether any.
+        diamonds = []
         for i, (x1, s1) in enumerate(row):
             for x2, s2 in row[i + 1:]:
                 if rcv[x1] & mask[x2] or rcv[x2] & mask[x1]:
@@ -299,9 +330,29 @@ def check_well_behaved(m: Mlts) -> list[WbViolation]:
                     if t1 in closing:
                         break
                 else:
-                    emit(DIAMOND, (s, s1, s2), (x1, x2))
+                    diamonds.append(((s, s1, s2), (x1, x2)))
 
-    return out
+        # 3. Conditional commutativity: an already-available communication
+        # stays reorderable with an unrelated one taken first. In a
+        # deterministic LTS, a witness whose second action s offers is also a
+        # broken diamond of its two actions at s; one whose second action s
+        # does not offer has that action, of a pair at s, offered by a
+        # successor. Only where either can be is the witness searched for.
+        if not deterministic or diamonds or successors & paired & ~offered[s]:
+            for x1, s1 in row:
+                for x2, s_prime in rows[s1]:
+                    if mask[x2] & mask[x1] or not pair[x2] & pairs_at_s:
+                        continue
+                    for mid in here.get(x2, ()):
+                        if s_prime in targets[mid].get(x1, ()):
+                            break
+                    else:
+                        emit(CONDITIONAL_COMMUTATIVITY, (s, s1, s_prime), (x1, x2))
+
+        for states, ids in diamonds:
+            emit(DIAMOND, states, ids)
+
+    return Violations(out, counts)
 
 
 def replay_violation(m: Mlts, v: WbViolation) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, TypeVar, Union
 
@@ -498,6 +499,9 @@ def pretty_file(pf: ProtocolFile) -> str:
 # MLTS JSON
 
 
+_ACTION_FIELDS = itemgetter("sender", "receiver", "label", "payload")
+
+
 def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]:
     """Load an explicit MLTS from its JSON schema; diagnostics on failure."""
     # The span ends after the last character: on the line after a final
@@ -534,7 +538,17 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
     # One object per distinct action, so that lookups keyed on actions
     # compare by identity instead of field by field.
     actions: dict[tuple[str, str, str, str], GlobalAction] = {}
+    known, state = actions.get, index.get
     for k, t in enumerate(raw_transitions):
+        # A known action between declared states needs lookups alone; any
+        # other transition is validated field by field.
+        try:
+            action, src, dst = known(_ACTION_FIELDS(t)), state(t["from"]), state(t["to"])
+        except (KeyError, TypeError):  # not an object, or a field missing or unhashable
+            action = None
+        if action is not None and src is not None and dst is not None:
+            transitions.add((src, action, dst))
+            continue
         if not isinstance(t, dict):
             diagnostics.append(Diagnostic(f"transition {k} must be an object", whole))
             continue
@@ -557,10 +571,9 @@ def parse_mlts(text: str, path: str = "<mlts>") -> Union[Mlts, list[Diagnostic]]
             diagnostics.append(Diagnostic(
                 f"transition {k}: " + "; ".join(problems), whole))
             continue
-        fields = (t["sender"], t["receiver"], t["label"], t["payload"])
-        action = actions.get(fields)
-        if action is None:
-            action = actions[fields] = GlobalAction(*fields[:3], PAYLOAD_TYPES[fields[3]])
+        # Valid, between declared states, so its action is a new one.
+        fields = _ACTION_FIELDS(t)
+        action = actions[fields] = GlobalAction(*fields[:3], PAYLOAD_TYPES[fields[3]])
         transitions.add((index[t["from"]], action, index[t["to"]]))
 
     if diagnostics:

@@ -156,6 +156,55 @@ def test_wb_detects_violations(capsys, tmp_path):
     assert "SenderDeterminacy" in out
 
 
+def over_cap_mlts(tmp_path, n=120):
+    """n states in a ring that each offer a->b:L and c->b:M: n
+    SenderDeterminacy violations and no other."""
+    transitions = []
+    for i in range(n):
+        for sender, label in (("a", "L"), ("c", "M")):
+            transitions.append({"from": f"s{i}", "to": f"s{(i + 1) % n}", "sender": sender,
+                                "receiver": "b", "label": label, "payload": "Unit"})
+    path = tmp_path / "many.mlts.json"
+    path.write_text(json.dumps({"states": [f"s{i}" for i in range(n)], "initial": "s0",
+                                "transitions": transitions}))
+    return path
+
+
+def test_capped_violations_are_counted_in_full(capsys, tmp_path):
+    path = over_cap_mlts(tmp_path)
+    code, out, _ = run_cli(capsys, "wb", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"{path}: well-behaved: no"
+    assert lines[1:51] == [f"  SenderDeterminacy: state {i} offers a->b:L(Unit) and c->b:M(Unit)"
+                           for i in range(50)]
+    assert lines[51:] == ["  (70 more SenderDeterminacy violations not listed)"]
+
+    # The JSON document lists the same 50 witnesses and nothing more.
+    code, out, _ = run_cli(capsys, "wb", str(path), "--format", "json")
+    (doc,) = json.loads(out)
+    assert code == 1 and set(doc) == {"subject", "well_behaved", "violations"}
+    assert len(doc["violations"]) == 50
+
+    proto = tmp_path / "p.smpst"
+    proto.write_text(f"// classifier: {path.name}\n"
+                     "process P at z = end;\nsession S of Ext = { z: P };\n")
+    code, out, err = run_cli(capsys, "check", str(proto))
+    assert (code, out) == (1, "")
+    assert err == (f"synmpst: error: {path} is not well-behaved (120 violation(s)); "
+                   "pass --allow-unverified to check anyway\n")
+    proto.unlink()
+    code, out, _ = run_cli(capsys, "bench", str(tmp_path))
+    assert code == 1
+    assert "  wb             120 violations (" in out.splitlines()[0]
+
+
+def test_wb_under_the_cap_lists_every_violation(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "wb", str(over_cap_mlts(tmp_path, 50)))
+    assert code == 1
+    assert len(out.splitlines()) == 51 and "not listed" not in out
+
+
 def test_wb_rejects_non_string_initial(capsys, tmp_path):
     bad = tmp_path / "bad.mlts.json"
     bad.write_text(json.dumps({"states": ["s"], "initial": ["s"], "transitions": []}))

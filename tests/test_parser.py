@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -380,6 +381,72 @@ def test_parse_mlts_rejects_bad_json_and_schema():
     for initial in ('"b"', '["a"]', '{}'):
         out = parse_mlts(f'{{"states": ["a"], "initial": {initial}}}')
         assert isinstance(out, list) and '"initial" must name a declared state' in out[0].message
+
+
+# Every parse_mlts diagnostic about a transition, pinned byte for byte. The
+# document declares states s and t; V is a valid transition, and a case lists
+# the transitions it appends to the document and the diagnostics it expects,
+# or None when it loads.
+V = {"from": "s", "to": "t", "sender": "a", "receiver": "b", "label": "L", "payload": "Unit"}
+FIELDS = ("from", "to", "sender", "receiver", "label", "payload")
+
+
+def _without(key):
+    return {k: v for k, v in V.items() if k != key}
+
+
+MLTS_DIAGNOSTIC_CASES = [
+    ("not-an-object", [1, "t", None, [V], True],
+     [f"transition {k} must be an object" for k in range(5)]),
+    *((f"{key}-missing", [_without(key)], [f"transition 0 lacks string field(s): {key}"])
+      for key in FIELDS),
+    *((f"{key}-{kind}", [dict(V, **{key: value})],
+       [f"transition 0 lacks string field(s): {key}"])
+      for key in FIELDS for kind, value in (("null", None), ("number", 3), ("list", ["s"]))),
+    ("several-fields", [{"to": 1, "label": None, "sender": "a", "receiver": "b"}],
+     ["transition 0 lacks string field(s): from, to, label, payload"]),
+    ("unknown-from", [dict(V, **{"from": "x"})], ["transition 0: unknown source state 'x'"]),
+    ("unknown-to", [dict(V, to="x")], ["transition 0: unknown target state 'x'"]),
+    ("self-communication", [dict(V, receiver="a")],
+     ["transition 0: sender and receiver are both 'a'"]),
+    ("unknown-payload", [dict(V, payload="Float")], ["transition 0: unknown payload type 'Float'"]),
+    ("several-problems", [dict(V, to="y", receiver="a", payload="Float", **{"from": "x"})],
+     ["transition 0: unknown source state 'x'; unknown target state 'y'; "
+      "sender and receiver are both 'a'; unknown payload type 'Float'"]),
+    ("after-the-same-action", [V, _without("from"), dict(V, to=0), dict(V, to=["t"]),
+                               dict(V, label={"L": 1}), [V]],
+     ["transition 1 lacks string field(s): from", "transition 2 lacks string field(s): to",
+      "transition 3 lacks string field(s): to", "transition 4 lacks string field(s): label",
+      "transition 5 must be an object"]),
+    ("known-action-undeclared-endpoint", [V, dict(V, to="gone"), dict(V, **{"from": "t", "to": "s"}),
+                                          dict(V, **{"from": "u"})],
+     ["transition 1: unknown target state 'gone'", "transition 3: unknown source state 'u'"]),
+    ("each-reported-with-its-index", [V, dict(V, payload="Nat"), 7, dict(V, sender="b"),
+                                      _without("label"), dict(V, to="t", receiver="c")],
+     ["transition 2 must be an object", "transition 3: sender and receiver are both 'b'",
+      "transition 4 lacks string field(s): label"]),
+    ("duplicates", [V, V, dict(V), dict(V, to="s"), dict(V, to="s")], None),
+]
+
+
+@pytest.mark.parametrize("transitions,expected", [case[1:] for case in MLTS_DIAGNOSTIC_CASES],
+                         ids=[case[0] for case in MLTS_DIAGNOSTIC_CASES])
+def test_parse_mlts_diagnostics_are_pinned(transitions, expected):
+    doc = {"states": ["s", "t"], "initial": "s", "transitions": transitions}
+    out = parse_mlts(json.dumps(doc), "m.json")
+    if expected is None:
+        assert isinstance(out, Mlts)
+        assert len(out.transitions) == len({json.dumps(t, sort_keys=True) for t in transitions})
+    else:
+        assert [str(d) for d in out] == [f"m.json:1:1: error: {msg}" for msg in expected]
+
+
+def test_parse_mlts_reads_only_its_three_members():
+    """A missing "transitions" means none; other members, "terms" included, are ignored."""
+    for doc in ('{"states": ["s"], "initial": "s"}',
+                '{"states": ["s"], "initial": "s", "transitions": [], "terms": 3, "x": null}'):
+        m = parse_mlts(doc)
+        assert isinstance(m, Mlts) and (m.initial, m.labels, m.transitions) == (0, ("s",), frozenset())
 
 
 def test_parse_mlts_whole_file_span_ends_after_the_last_character():

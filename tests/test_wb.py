@@ -1,12 +1,13 @@
 """check_well_behaved on the coded table against a naive reference, and its cap."""
 import random
+import sys
 
 import pytest
 
 from conftest import CORPUS, load_protocol, pairs_global, workers_global
 from synmpst.generate import random_global_type
-from synmpst.lts import build_lts
-from synmpst.mlts import (CONDITIONAL_COMMUTATIVITY, DETERMINISM, DIAMOND,
+from synmpst.lts import build_lts, lts_to_json
+from synmpst.mlts import (CONDITIONAL_COMMUTATIVITY, DETERMINISM, DIAMOND, _MESSAGES,
                           SENDER_DETERMINACY, _WITNESS_CAP, Mlts, WbViolation,
                           check_well_behaved, receiver_disjoint,
                           replay_violation)
@@ -123,6 +124,63 @@ def shared_receiver_mlts():
     }))
 
 
+def receiver_sends_mlts():
+    """b receives in a->b:L and sends in b->c:M at state 0, and a receives in
+    c->a:N and sends in a->b:L at state 3: the clashing role's pair comes
+    after the other pair in one row and before it in the other."""
+    return Mlts(0, tuple(f"s{i}" for i in range(5)), frozenset({
+        (0, act("a", "b", "L"), 1), (0, act("b", "c", "M"), 2), (1, act("d", "e", "K"), 3),
+        (3, act("c", "a", "N"), 4), (3, act("a", "b", "L"), 4),
+    }))
+
+
+def pair_level_mlts():
+    """Every diamond closes, but after a->b:L state 1 offers c->d:M2, whose
+    pair state 0 offers only as c->d:M1: condition 3's pair-level reading."""
+    ell, m1, m2 = act("a", "b", "L"), act("c", "d", "M1"), act("c", "d", "M2")
+    return Mlts(0, tuple(f"s{i}" for i in range(5)), frozenset({
+        (0, ell, 1), (0, m1, 2), (1, m1, 3), (1, m2, 4), (2, ell, 3),
+    }))
+
+
+def nondeterministic_cc_mlts():
+    """The diamond of a->b:Go and c->d:Up at state 0 closes at state 3, but
+    Up also takes state 1 to state 4, which Go from state 2 does not reach."""
+    go, up = act("a", "b", "Go"), act("c", "d", "Up")
+    return Mlts(0, tuple(f"s{i}" for i in range(5)), frozenset({
+        (0, go, 1), (0, up, 2), (1, up, 3), (1, up, 4), (2, go, 3),
+    }))
+
+
+def nondeterministic_source_mlts():
+    """Go leaves state 0 for states 1 and 2, and only state 1's Up meets
+    state 3's Go: the diamond through state 2 breaks, and Go then Up through
+    it cannot be reordered."""
+    go, up = act("a", "b", "Go"), act("c", "d", "Up")
+    return Mlts(0, tuple(f"s{i}" for i in range(6)), frozenset({
+        (0, go, 1), (0, go, 2), (0, up, 3), (1, up, 4), (2, up, 5), (3, go, 4),
+    }))
+
+
+def over_cap_mlts(condition, n=_WITNESS_CAP + 10):
+    """n copies of one state shape that violates condition once, and only it."""
+    ell, m1, m2 = act("a", "b", "L"), act("c", "d", "M1"), act("c", "d", "M2")
+    shapes = {
+        SENDER_DETERMINACY: [(0, ell, 1), (0, act("c", "b", "M"), 1)],
+        DETERMINISM: [(0, ell, 1), (0, ell, 2)],
+        CONDITIONAL_COMMUTATIVITY: [(0, ell, 1), (0, m1, 2), (1, m1, 3), (1, m2, 4), (2, ell, 3)],
+        DIAMOND: [(0, ell, 1), (0, m1, 2)],
+    }[condition]
+    width = 1 + max(max(src, dst) for src, _, dst in shapes)
+    return Mlts(0, tuple(f"s{i}" for i in range(n * width)), frozenset(
+        (k * width + src, a, k * width + dst) for k in range(n) for src, a, dst in shapes))
+
+
+def round_trip(m):
+    """m exported by lts_to_json and loaded back by parse_mlts."""
+    return parse_mlts(lts_to_json(m))
+
+
 def classifiers():
     out = []
     for path in sorted(CORPUS.glob("*.smpst")):
@@ -132,12 +190,31 @@ def classifiers():
                 parse_mlts((CORPUS / "diamond.mlts.json").read_text(), "diamond.mlts.json")))
     out.append(("nondeterministic", nondeterministic_mlts()))
     out.append(("shared_receiver", shared_receiver_mlts()))
+    out.append(("receiver_sends", receiver_sends_mlts()))
+    out.append(("pair_level", pair_level_mlts()))
+    out.append(("nondeterministic_cc", nondeterministic_cc_mlts()))
+    out.append(("nondeterministic_source", nondeterministic_source_mlts()))
+    out += [(f"over_cap_{condition}", over_cap_mlts(condition)) for condition in _MESSAGES]
     for draw in (*range(1000, 1100), *DEFECT_DRAWS):
         out.append((f"draw{draw}", build_lts(random_global_type(random.Random(draw))).to_mlts()))
     for name, m in (("P_4", global_mlts(pairs_global(4))), ("W_2", global_mlts(workers_global(2)))):
         out.append((name, m))
         out += [(f"{name}-cut{i}", cut) for i, cut in enumerate(cuts(m))]
+    for name, m in ROUND_TRIPS.items():
+        out.append((f"{name}-json", round_trip(m)))
     return out
+
+
+def _round_trip_sources():
+    out = {}
+    for name, text in (("W_3", workers_global(3)), ("P_6", pairs_global(6))):
+        m = global_mlts(text)
+        out[name] = m
+        out[f"{name}-cut"] = cuts(m)[len(m.transitions) // 2]
+    return out
+
+
+ROUND_TRIPS = _round_trip_sources()
 
 
 CLASSIFIERS = classifiers()
@@ -166,6 +243,44 @@ def test_the_differential_cases_include_violations():
     assert any(name.startswith("W_2-cut") for name in rejected)
     conditions = {v.condition for _, m in CLASSIFIERS for v in check_well_behaved(m)}
     assert conditions == {SENDER_DETERMINACY, DETERMINISM, CONDITIONAL_COMMUTATIVITY, DIAMOND}
+
+
+def test_each_gated_path_is_reached():
+    """Each case has violations that only a loop behind a gate of
+    check_well_behaved finds; pinning their counts shows a gate that skips."""
+    named = dict(CLASSIFIERS)
+    expected = {
+        "receiver_sends": {SENDER_DETERMINACY: 2},
+        "pair_level": {CONDITIONAL_COMMUTATIVITY: 1},
+        "nondeterministic_cc": {DETERMINISM: 1, CONDITIONAL_COMMUTATIVITY: 1},
+        "nondeterministic_source": {DETERMINISM: 1, CONDITIONAL_COMMUTATIVITY: 1, DIAMOND: 1},
+        **{f"over_cap_{c}": {c: _WITNESS_CAP + 10} for c in _MESSAGES},
+    }
+    for name, counts in expected.items():
+        got = check_well_behaved(named[name]).counts
+        assert {c: n for c, n in got.items() if n} == counts, name
+
+
+def test_counts_cover_every_violation(monkeypatch):
+    """The counts are those of the naive reference's list without the cap."""
+    monkeypatch.setattr(sys.modules[__name__], "_WITNESS_CAP", 10 ** 9)
+    for name, m in CLASSIFIERS:
+        violations = check_well_behaved(m)
+        every = naive_check_well_behaved(m)
+        assert violations.counts == {c: sum(v.condition == c for v in every) for c in _MESSAGES}
+        assert violations.total == len(every) >= len(violations), name
+        assert violations.unlisted() == {c: n - 50 for c, n in violations.counts.items() if n > 50}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_exported_json_loads_to_the_same_table(name):
+    built = ROUND_TRIPS[name]
+    loaded = round_trip(built)
+    assert (loaded.initial, loaded.transitions) == (built.initial, built.transitions)
+    views = ("actions", "ids", "rows", "bits", "role_mask", "receiver_bit", "pair_bit",
+             "targets", "outgoing", "covers")
+    for view in views:
+        assert getattr(loaded._table, view) == getattr(built._table, view), view
 
 
 def test_checker_reads_only_the_coded_table(monkeypatch):
